@@ -192,8 +192,9 @@ func (d *disaggState) serveBatch(e *Endpoint, calls []llm.Call) []llm.Served {
 	return out
 }
 
-// replayDisagg is the open-loop path: replay the whole trace on the
-// prefill pool, then replay the handed-off requests on the decode pool.
+// replayDisagg is the open-loop path, two passes of the one replay event
+// loop: replay the whole trace on the prefill pool, then replay the
+// handed-off requests on the decode pool.
 // Stage-2 arrivals are prefill completions plus handoff cost; the decode
 // pool's standard (Priority, arrival, index) admission queue is what makes
 // Request.Priority a decode-scheduling policy. Completions merge the
@@ -204,10 +205,6 @@ func replayDisagg(e *Endpoint, reqs []Request) ReplayResult {
 	res := ReplayResult{
 		Completions: make([]Completion, len(reqs)),
 		Batches:     pres.Batches,
-	}
-	if len(reqs) == 0 {
-		res.Stats = e.Stats()
-		return res
 	}
 	stage2 := make([]Request, len(reqs))
 	for i := range reqs {

@@ -635,7 +635,7 @@ func (e *Endpoint) nextFault(t time.Duration) (time.Duration, bool) {
 	if e.fx == nil {
 		return 0, false
 	}
-	best := time.Duration(1<<63 - 1)
+	best := never
 	found := false
 	for i := 0; i < e.active; i++ {
 		c := &e.fx.clocks[i]

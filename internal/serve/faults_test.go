@@ -71,11 +71,11 @@ func TestFaultsDisabledByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultReplayDeterministicAndValidates drives the full resilient
-// event loop under observation and checks three contracts at once: the
-// sink never perturbs the simulation, reruns are byte-identical, and the
-// recorded stream passes Validate (monotone Seq, per-kind invariants)
-// while exercising every fault/resilience event kind.
+// TestFaultReplayDeterministicAndValidates drives the replay event loop
+// with every fault and policy enabled, under observation, and checks three
+// contracts at once: the sink never perturbs the simulation, reruns are
+// byte-identical, and the recorded stream passes Validate (monotone Seq,
+// per-kind invariants) while exercising every fault/resilience event kind.
 func TestFaultReplayDeterministicAndValidates(t *testing.T) {
 	cfg, reqs := faultedCfg(), faultedTrace()
 	rec := obs.NewRecorder()
@@ -204,5 +204,30 @@ func TestValidateRejectsResilientDisagg(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s + disaggregation validated; want an error", name)
 		}
+	}
+}
+
+// TestThroughputCountsServedOnly pins Throughput to served requests: a
+// shedding replay of an overloaded trace must not count the requests it
+// rejected as throughput.
+func TestThroughputCountsServedOnly(t *testing.T) {
+	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 64, Horizon: 30 * time.Minute, Seed: 3})
+	res := Replay(Config{Profile: noJitter, Replicas: 1, Shed: ShedPolicy{Queue: 4}}, reqs)
+	served := 0
+	for _, c := range res.Completions {
+		if c.Outcome == OutcomeServed {
+			served++
+		}
+	}
+	if res.Stats.ShedRequests == 0 || served == len(reqs) {
+		t.Fatalf("trace did not overload the replica: %d shed, %d/%d served",
+			res.Stats.ShedRequests, served, len(reqs))
+	}
+	if served != res.Stats.Requests {
+		t.Fatalf("served completions %d != Stats.Requests %d", served, res.Stats.Requests)
+	}
+	if got, want := res.Throughput(), float64(served)/res.Makespan.Seconds(); got != want {
+		t.Fatalf("Throughput() = %v req/s, want %v (served %d of %d over %v)",
+			got, want, served, len(reqs), res.Makespan)
 	}
 }

@@ -214,11 +214,12 @@ func (sf *ShardedFleet) SetSink(s obs.Sink) {
 // machine-checkable preconditions instead of silently misreconstructing:
 //
 //   - Submissions must arrive in non-decreasing virtual time within each
-//     shard (one closed-loop client, or a merged fleet — the merge admits
-//     in arrival order). A decreasing submit time means several
-//     independent clients were recorded into one stream without a merge;
-//     their interleaving encodes goroutine scheduling, not workload, so
-//     the reconstruction would be unreproducible. Error, not guess.
+//     shard. That holds for one closed-loop client (a single-agent or
+//     centralized episode) and for a merged fleet of such episodes. A
+//     decentralized team submits in program order, each agent on its own
+//     clock, so its stream — and any fleet of such episodes — goes back in
+//     time, and the reconstruction would be unreproducible. Error, not
+//     guess.
 //   - No recorded endpoint may have MaxBatch > 1 (config events carry it):
 //     closed-loop join windows race against future arrivals the open-loop
 //     replay cannot see, so the trace under-determines the batches.
@@ -238,7 +239,7 @@ func TraceRequests(events []obs.Event) ([]Request, error) {
 			}
 		case obs.KindSubmit:
 			if last, ok := lastArrival[ev.Shard]; ok && ev.T < last {
-				return nil, fmt.Errorf("serve: trace event %d: submit at %v precedes the previous submit at %v on shard %d; non-monotone submissions mean unmerged concurrent clients — record a single client or a merged fleet", i, ev.T, last, ev.Shard)
+				return nil, fmt.Errorf("serve: trace event %d: submit at %v precedes the previous submit at %v on shard %d; non-monotone submissions mean agents on separate clocks — record a single client", i, ev.T, last, ev.Shard)
 			}
 			lastArrival[ev.Shard] = ev.T
 			secs := make([]prompt.Section, len(ev.Sections))
@@ -255,10 +256,9 @@ func TraceRequests(events []obs.Event) ([]Request, error) {
 }
 
 // ReplayObserved is Replay with a flight-recorder sink attached to the
-// replaying endpoint, so an open-loop run emits the same lifecycle events
-// a closed-loop one does (submit events for every trace entry up front,
-// then route/batch/cache/complete per launch). A nil sink is exactly
-// Replay.
+// replaying endpoint: submit events for every trace entry up front, then
+// route/cache/batch_start per launch and complete per served request (see
+// replayOn). A nil sink is exactly Replay.
 func ReplayObserved(cfg Config, reqs []Request, sink obs.Sink) ReplayResult {
 	e := New(cfg)
 	if sink != nil {

@@ -69,7 +69,9 @@ const (
 	// extension the join restated earlier members by.
 	KindBatchJoin Kind = "batch_join"
 	// KindBatchSeal closes a replica's frontier batch (next batch launching,
-	// or replica retiring): Batch members' latencies became final.
+	// or replica retiring): Batch members' latencies became final. Only
+	// closed-loop serving emits it; an open-loop replay batch never grows
+	// after launch, so its completions are final when emitted.
 	KindBatchSeal Kind = "batch_seal"
 	// KindComplete is a served request: T is completion time, Dur end-to-end
 	// latency (as served; see the package comment), Wait its queueing share,

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"embench/internal/llm"
 	"embench/internal/serve/obs"
 )
 
@@ -23,10 +24,12 @@ var updateReplayGolden = flag.Bool("update", false, "rewrite the replay seed gol
 
 // seedGridConfig is one cell of the seed-equivalence grid: a policy-free,
 // fault-free deployment that exercises batching, routing, the prefix cache
-// and (optionally) the autoscaler.
-func seedGridConfig(maxBatch int, autoscale bool, routing RoutingPolicy) Config {
+// and (optionally) the autoscaler. A zero profile prices every batch at
+// zero, so batches complete at the instant they launch and one replica can
+// host several in a single instant.
+func seedGridConfig(profile llm.Profile, maxBatch int, autoscale bool, routing RoutingPolicy) Config {
 	cfg := Config{
-		Profile: noJitter, Replicas: 4, MaxBatch: maxBatch,
+		Profile: profile, Replicas: 4, MaxBatch: maxBatch,
 		MaxWait: 500 * time.Millisecond, Routing: routing,
 		CacheEntries: 64, CacheTokens: 4096, Identity: IdentityContent,
 	}
@@ -44,32 +47,39 @@ func replayDigest(res ReplayResult) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
-// TestReplaySeedEquivalence runs the generated-traffic grid (arrival
+// TestReplaySeedEquivalence runs the traffic grid (pricing × arrival
 // process × tenants × MaxBatch × autoscaler × routing) and compares each
 // cell's ReplayResult digest with the golden the seed loop produced. The
 // same cells check that attaching a flight recorder changes nothing and
 // that the recorded stream validates.
 func TestReplaySeedEquivalence(t *testing.T) {
 	var b strings.Builder
-	for _, kind := range []ArrivalKind{ArrivePoisson, ArriveBursty, ArriveDiurnal} {
-		for _, tenants := range []int{8, 32} {
-			reqs := GenerateTraffic(Traffic{Kind: kind, Tenants: tenants,
-				Horizon: 20 * time.Minute, Seed: 5})
-			for _, mb := range []int{1, 4} {
-				for _, as := range []bool{false, true} {
-					for _, rt := range []RoutingPolicy{RouteLeastLoaded, RouteCacheAffinity, RouteShortestCompletion} {
-						cell := fmt.Sprintf("%s/t%d/mb%d/as=%t/%s", kind, tenants, mb, as, rt)
-						cfg := seedGridConfig(mb, as, rt)
-						res := Replay(cfg, reqs)
-						rec := obs.NewRecorder()
-						if obsd := ReplayObserved(cfg, reqs, rec); !reflect.DeepEqual(res, obsd) {
-							t.Errorf("%s: recorder changed the replay result", cell)
+	for _, profile := range []llm.Profile{noJitter, {Name: "free"}} {
+		for _, kind := range []ArrivalKind{ArrivePoisson, ArriveBursty, ArriveDiurnal, "lockstep"} {
+			for _, tenants := range []int{8, 32} {
+				// Lockstep tenants all arrive at the same instants, more of
+				// them than the replicas can take in one round of batches.
+				reqs := testTrace(tenants, 20, 30*time.Second, 0)
+				if kind != "lockstep" {
+					reqs = GenerateTraffic(Traffic{Kind: kind, Tenants: tenants,
+						Horizon: 20 * time.Minute, Seed: 5})
+				}
+				for _, mb := range []int{1, 4} {
+					for _, as := range []bool{false, true} {
+						for _, rt := range []RoutingPolicy{RouteLeastLoaded, RouteCacheAffinity, RouteShortestCompletion} {
+							cell := fmt.Sprintf("%s/%s/t%d/mb%d/as=%t/%s", profile.Name, kind, tenants, mb, as, rt)
+							cfg := seedGridConfig(profile, mb, as, rt)
+							res := Replay(cfg, reqs)
+							rec := obs.NewRecorder()
+							if obsd := ReplayObserved(cfg, reqs, rec); !reflect.DeepEqual(res, obsd) {
+								t.Errorf("%s: recorder changed the replay result", cell)
+							}
+							if err := obs.Validate(rec.Events()); err != nil {
+								t.Errorf("%s: recorded stream invalid: %v", cell, err)
+							}
+							fmt.Fprintf(&b, "%-49s reqs=%d batches=%d makespan=%d %s\n",
+								cell, res.Stats.Requests, res.Batches, res.Makespan, replayDigest(res))
 						}
-						if err := obs.Validate(rec.Events()); err != nil {
-							t.Errorf("%s: recorded stream invalid: %v", cell, err)
-						}
-						fmt.Fprintf(&b, "%-44s reqs=%d batches=%d makespan=%d %s\n",
-							cell, res.Stats.Requests, res.Batches, res.Makespan, replayDigest(res))
 					}
 				}
 			}

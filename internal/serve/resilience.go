@@ -1,37 +1,38 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"embench/internal/rng"
 )
 
-// This file is the resilient open-loop event loop: Replay with fault
-// injection (serve.Faults) and client resilience (Request.Deadline,
-// RetryPolicy, HedgePolicy, ShedPolicy) in play. replayOn dispatches here
-// whenever any of those is enabled; the seed loop in replay.go stays
-// byte-identical for fault-free, policy-free traces.
+// This file is the attempt model of the open-loop event loop in replay.go:
+// fault injection (serve.Faults) and client resilience (Request.Deadline,
+// RetryPolicy, HedgePolicy, ShedPolicy). With none of them configured each
+// request is exactly one attempt, and the hooks below never fire.
 //
 // The unit of scheduling is an ATTEMPT: one service try of a logical
 // request — the original submission, a deadline-triggered retry, or a hedge
-// duplicate. Attempts queue, batch and launch exactly like requests do in
-// the seed loop; the logical request resolves with the first attempt whose
-// batch completes (ties break toward the earlier attempt), and its
-// remaining attempts are cancelled — free while still queued, priced as
-// wasted replica occupancy once launched. A replica crash kills the whole
-// in-flight batch: its attempts re-enter the admission queue at the crash
-// instant with their arrival times intact (deadline-expired ones time out
-// right there), so every injected failure's requests are re-served, shed or
-// timed out explicitly — never silently lost.
+// duplicate. Attempts queue, batch and launch like requests; the logical
+// request resolves with the first attempt whose batch completes (ties break
+// toward the earlier attempt), and its remaining attempts are cancelled —
+// free while still queued, priced as wasted replica occupancy once
+// launched. A replica crash kills the whole in-flight batch: its attempts
+// re-enter the admission queue at the crash instant with their arrival
+// times intact (deadline-expired ones time out right there), so every
+// injected failure's requests are re-served, shed or timed out explicitly —
+// never silently lost.
 //
 // Everything is deterministic: fault schedules and retry jitter come from
 // named RNG streams (per replica slot and per request index respectively),
 // every same-instant tie processes in a fixed category order (completions,
 // timeouts, timers, arrivals, launches) with index tie-breaks, so a
-// resilient replay is a pure function of (cfg, reqs) — byte-identical
-// across reruns and worker counts, and its Serving counters merge exactly.
+// replay is a pure function of (cfg, reqs) — byte-identical across reruns
+// and worker counts, and its Serving counters merge exactly.
 //
 // Accounting convention: flow statistics (Requests, Service, QueueWait,
 // BatchedSeqs, prompt/cache tokens, LatencyHist) count WINNING attempts
@@ -46,8 +47,8 @@ import (
 type Outcome string
 
 const (
-	// OutcomeServed is the zero value: the request completed. Fault-free
-	// replays never set the field, keeping their Completions byte-identical.
+	// OutcomeServed is the zero value: the request completed. Replays
+	// without shedding or deadlines never set any other label.
 	OutcomeServed Outcome = ""
 	// OutcomeShed means admission rejected the request under load (ShedPolicy).
 	OutcomeShed Outcome = "shed"
@@ -55,570 +56,232 @@ const (
 	OutcomeTimedOut Outcome = "timeout"
 )
 
-// resilient reports whether any client-resilience policy is configured.
-func (c Config) resilient() bool {
-	return c.Retry.enabled() || c.Hedge.enabled() || c.Shed.enabled()
-}
-
-// anyDeadline reports whether any request carries a per-attempt deadline.
-func anyDeadline(reqs []Request) bool {
-	for i := range reqs {
-		if reqs[i].Deadline > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // rAttempt is one service attempt of a logical request.
 type rAttempt struct {
 	req     int           // logical request index
-	hedge   bool          // a hedge duplicate (vs original/retry)
 	arrival time.Duration // when the attempt entered admission
 	// Batch state once launched:
-	inflight             bool
-	start, end, service  time.Duration
-	batch, cached, total int
-	ri                   int // replica that hosted the batch
+	start, service   time.Duration
+	n, cached, total int32 // batch size; the attempt's cached and total prompt tokens
+	ri               int32 // replica that hosted the batch
+	hedge            bool  // a hedge duplicate (vs original/retry)
 }
+
+// end is the completion time of the attempt's batch.
+func (a *rAttempt) end() time.Duration { return a.start + a.service }
 
 // rState is one logical request's resilience bookkeeping.
 type rState struct {
-	retries    int  // retries used (attempt number of the latest wave)
-	wave       int  // non-hedge attempt generation; hedge timers carry it
-	hedged     bool // a hedge was issued in the current wave
+	retries    int32 // retries used (attempt number of the latest wave)
+	wave       int32 // non-hedge attempt generation; hedge timers carry it
+	live       int32 // attempts currently queued or in service
+	hedged     bool  // a hedge was issued in the current wave
 	everHedged bool
-	live       int // attempts currently queued or in service
 	done       bool
-	st         *rng.Stream // lazy per-request backoff jitter stream
 }
 
-// timer kinds: a scheduled retry re-entry or a hedge issue point.
-const (
-	timerRetry = iota
-	timerHedge
-)
-
-// rTimer is a scheduled future admission event.
+// rTimer is a scheduled future admission event: a retry re-entry or a hedge
+// issue point.
 type rTimer struct {
-	at   time.Duration
-	seq  int // insertion order, the same-instant tie-break
-	kind int
-	req  int
-	wave int           // hedge: issuing wave (stale timers are ignored)
-	dur  time.Duration // retry: the backoff, for the retry event
+	at    time.Duration
+	hedge bool // a hedge issue point; otherwise a retry re-entry
+	req   int
+	wave  int32         // hedge: issuing wave (stale timers are ignored)
+	dur   time.Duration // retry: the backoff, for the retry event
 }
 
-// replayResilient is the discrete-event loop behind Replay when fault
-// injection or client resilience is enabled. See the file comment for the
-// model; the batching/launch mechanics mirror replayOn.
-func replayResilient(e *Endpoint, reqs []Request) ReplayResult {
-	res := ReplayResult{Completions: make([]Completion, len(reqs))}
-	if len(reqs) == 0 {
-		return res
+// shedNow reports whether the shed policy rejects an admission of priority
+// prio at time t.
+func (l *replayLoop) shedNow(t time.Duration, prio int) bool {
+	p := l.e.cfg.Shed
+	if !p.enabled() || prio < p.Priority {
+		return false
 	}
+	if p.Queue > 0 && len(l.queue) >= p.Queue {
+		return true
+	}
+	return p.Wait > 0 && len(l.queue) > 0 && t-l.oldestQueued() >= p.Wait
+}
 
-	keys := make([]promptKey, len(reqs))
-	for i := range reqs {
-		keys[i] = chainKeysIdent(nil, reqs[i].Prompt, e.cfg.Identity)
+// resolveUnserved resolves a request at time t without serving it: shed
+// or timed out.
+func (l *replayLoop) resolveUnserved(req int, t time.Duration, out Outcome) {
+	st := &l.states[req]
+	st.done = true
+	l.resolved++
+	rq := l.reqs[req]
+	l.res.Completions[req] = Completion{
+		Agent: rq.Agent, Arrival: rq.Arrival, Done: t,
+		Outcome: out, Retries: int(st.retries), Hedged: st.everHedged,
 	}
+}
 
-	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
+// admit queues a new attempt.
+func (l *replayLoop) admit(a rAttempt) {
+	l.states[a.req].live++
+	l.attempts = append(l.attempts, a)
+	l.queue = append(l.queue, len(l.attempts)-1)
+	l.dirty = true
+	l.expireAt = min(l.expireAt, l.expiry(len(l.attempts)-1))
+}
+
+// enqueue admits one non-hedge attempt (original or retry) at time t,
+// applying the shed policy first. It opens a new wave: the hedge timer (if
+// hedging is on) arms against this attempt's entry.
+func (l *replayLoop) enqueue(req int, t time.Duration) {
+	if l.shedNow(t, l.reqs[req].Priority) {
+		l.e.stats.ShedRequests++
+		l.resolveUnserved(req, t, OutcomeShed)
+		if l.e.sink != nil {
+			l.e.emitShed(int64(req)+1, t, l.reqs[req].Priority)
+		}
+		return
 	}
-	sort.Slice(order, func(a, b int) bool {
-		qa, qb := reqs[order[a]], reqs[order[b]]
-		if qa.Arrival != qb.Arrival {
-			return qa.Arrival < qb.Arrival
+	st := &l.states[req]
+	st.wave++
+	st.hedged = false
+	l.admit(rAttempt{req: req, arrival: t})
+	if h := l.e.cfg.Hedge; h.enabled() {
+		l.addTimer(rTimer{at: t + h.Delay, hedge: true, req: req, wave: st.wave})
+	}
+}
+
+// addTimer schedules tm. Timers stay sorted by time, and a timer goes
+// after every one already due no later, so same-instant timers fire in
+// insertion order.
+func (l *replayLoop) addTimer(tm rTimer) {
+	i := sort.Search(len(l.timers), func(i int) bool { return l.timers[i].at > tm.at })
+	l.timers = slices.Insert(l.timers, i, tm)
+}
+
+// attemptLost handles a request losing its last live attempt at te:
+// schedule a retry while budget remains, otherwise resolve timed-out.
+func (l *replayLoop) attemptLost(req int, te time.Duration) {
+	e := l.e
+	st := &l.states[req]
+	if st.done || st.live > 0 {
+		return
+	}
+	if e.cfg.Retry.enabled() && int(st.retries) < e.cfg.Retry.Max {
+		st.retries++
+		e.stats.Retries++
+		if l.jitter == nil {
+			l.jitter = make([]*rng.Stream, len(l.reqs))
 		}
-		if qa.Priority != qb.Priority {
-			return qa.Priority < qb.Priority
+		if l.jitter[req] == nil {
+			// Retry jitter shares the fault seed's root (zero is a valid
+			// seed): the stream is per request INDEX, so a request's backoff
+			// schedule is independent of when — or on which replica — its
+			// attempts ran.
+			l.jitter[req] = rng.New(e.cfg.Faults.Seed).Sub("serve/retry").NewStream(fmt.Sprintf("req-%d", req))
 		}
-		return order[a] < order[b]
+		back := e.cfg.Retry.backoff(int(st.retries)-1, l.jitter[req])
+		l.addTimer(rTimer{at: te + back, req: req, wave: st.retries, dur: back})
+		return
+	}
+	e.stats.TimedOut++
+	l.resolveUnserved(req, te, OutcomeTimedOut)
+}
+
+// timeOutAttempt expires one attempt (already removed from the queue) at
+// te: its batch never launched within the deadline.
+func (l *replayLoop) timeOutAttempt(ai int, te time.Duration) {
+	a := &l.attempts[ai]
+	l.states[a.req].live--
+	if l.e.sink != nil {
+		l.e.emitTimeout(int64(a.req)+1, te, l.reqs[a.req].Deadline)
+	}
+	l.attemptLost(a.req, te)
+}
+
+// expiry is when attempt ai's deadline passes: never for a request
+// without one.
+func (l *replayLoop) expiry(ai int) time.Duration {
+	a := &l.attempts[ai]
+	if d := l.reqs[a.req].Deadline; d > 0 {
+		return a.arrival + d
+	}
+	return never
+}
+
+// expireDeadlines times out queued attempts whose deadline is due by now,
+// in (expiry, id) order.
+func (l *replayLoop) expireDeadlines() {
+	due := l.due[:0]
+	l.expireAt = never
+	l.queue = slices.DeleteFunc(l.queue, func(ai int) bool {
+		t := l.expiry(ai)
+		if t <= l.now {
+			due = append(due, ai)
+			return true
+		}
+		l.expireAt = min(l.expireAt, t)
+		return false
 	})
-
-	if e.sink != nil {
-		for _, qi := range order {
-			rq := reqs[qi]
-			e.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
+	slices.SortFunc(due, func(a, b int) int {
+		if c := cmp.Compare(l.expiry(a), l.expiry(b)); c != 0 {
+			return c
 		}
+		return cmp.Compare(a, b)
+	})
+	for _, ai := range due {
+		l.timeOutAttempt(ai, l.expiry(ai))
 	}
+	l.due = due
+}
 
-	states := make([]rState, len(reqs))
-	var attempts []rAttempt
-	var queue []int    // attempt ids, sorted by (priority, attempt arrival, id)
-	var inflight []int // attempt ids whose batch is running
-	var timers []rTimer
-	timerSeq := 0
-	// Retry jitter shares the fault seed's root (zero is a valid seed): the
-	// stream is per request INDEX, so a request's backoff schedule is
-	// independent of when — or on which replica — its attempts ran.
-	retrySrc := rng.New(e.cfg.Faults.Seed).Sub("serve/retry")
-
-	nextArr := 0
-	now := reqs[order[0]].Arrival
-	doneCount := 0
-	queueDirty := false
-	hasDeadlines := anyDeadline(reqs)
-
-	sortQueue := func() {
-		if !queueDirty {
-			return
-		}
-		queueDirty = false
-		sort.SliceStable(queue, func(a, b int) bool {
-			aa, ab := &attempts[queue[a]], &attempts[queue[b]]
-			pa, pb := reqs[aa.req].Priority, reqs[ab.req].Priority
-			if pa != pb {
-				return pa < pb
-			}
-			if aa.arrival != ab.arrival {
-				return aa.arrival < ab.arrival
-			}
-			return queue[a] < queue[b]
-		})
-	}
-
-	oldestQueued := func() time.Duration {
-		oldest := attempts[queue[0]].arrival
-		for _, ai := range queue[1:] {
-			if attempts[ai].arrival < oldest {
-				oldest = attempts[ai].arrival
-			}
-		}
-		return oldest
-	}
-
-	shedNow := func(t time.Duration, prio int) bool {
-		p := e.cfg.Shed
-		if !p.enabled() || prio < p.Priority {
-			return false
-		}
-		if p.Queue > 0 && len(queue) >= p.Queue {
-			return true
-		}
-		return p.Wait > 0 && len(queue) > 0 && t-oldestQueued() >= p.Wait
-	}
-
-	resolveShed := func(req int, t time.Duration) {
-		st := &states[req]
-		st.done = true
-		doneCount++
-		e.stats.ShedRequests++
-		rq := reqs[req]
-		res.Completions[req] = Completion{
-			Agent: rq.Agent, Arrival: rq.Arrival, Done: t,
-			Outcome: OutcomeShed, Retries: st.retries, Hedged: st.everHedged,
-		}
-		if e.sink != nil {
-			e.emitShed(int64(req)+1, t, rq.Priority)
-		}
-	}
-
-	// enqueue admits one non-hedge attempt (original or retry) at time t,
-	// applying the shed policy first. It opens a new wave: the hedge timer
-	// (if hedging is on) arms against this attempt's entry.
-	enqueue := func(req int, t time.Duration) {
-		if shedNow(t, reqs[req].Priority) {
-			resolveShed(req, t)
-			return
-		}
-		st := &states[req]
-		st.wave++
-		st.hedged = false
-		st.live++
-		attempts = append(attempts, rAttempt{req: req, arrival: t})
-		queue = append(queue, len(attempts)-1)
-		queueDirty = true
-		if e.cfg.Hedge.enabled() {
-			timers = append(timers, rTimer{
-				at: t + e.cfg.Hedge.Delay, seq: timerSeq,
-				kind: timerHedge, req: req, wave: st.wave,
-			})
-			timerSeq++
-		}
-	}
-
-	// attemptLost handles a request losing its last live attempt at te:
-	// schedule a retry while budget remains, otherwise resolve timed-out.
-	attemptLost := func(req int, te time.Duration) {
-		st := &states[req]
-		if st.done || st.live > 0 {
-			return
-		}
-		if e.cfg.Retry.enabled() && st.retries < e.cfg.Retry.Max {
-			st.retries++
-			e.stats.Retries++
-			if st.st == nil {
-				st.st = retrySrc.NewStream(fmt.Sprintf("req-%d", req))
-			}
-			back := e.cfg.Retry.backoff(st.retries-1, st.st)
-			timers = append(timers, rTimer{
-				at: te + back, seq: timerSeq, kind: timerRetry,
-				req: req, wave: st.retries, dur: back,
-			})
-			timerSeq++
-			return
-		}
-		st.done = true
-		doneCount++
-		e.stats.TimedOut++
-		rq := reqs[req]
-		res.Completions[req] = Completion{
-			Agent: rq.Agent, Arrival: rq.Arrival, Done: te,
-			Outcome: OutcomeTimedOut, Retries: st.retries, Hedged: st.everHedged,
-		}
-	}
-
-	// timeOutAttempt expires one attempt (already removed from the queue) at
-	// te: its batch never launched within the deadline.
-	timeOutAttempt := func(ai int, te time.Duration) {
-		a := &attempts[ai]
-		st := &states[a.req]
-		st.live--
-		if e.sink != nil {
-			e.emitTimeout(int64(a.req)+1, te, reqs[a.req].Deadline)
-		}
-		attemptLost(a.req, te)
-	}
-
-	// dropFromQueue removes one attempt id from the queue (order preserved).
-	dropFromQueue := func(ai int) {
-		for i, q := range queue {
-			if q == ai {
-				queue = append(queue[:i], queue[i+1:]...)
-				return
-			}
-		}
-	}
-
-	// resolveServed completes a logical request with attempt ai's batch:
-	// winner-only flow accounting, cancellation of still-queued duplicates
-	// (in-service duplicates run on as priced waste).
-	resolveServed := func(ai int) {
-		a := &attempts[ai]
-		st := &states[a.req]
-		rq := reqs[a.req]
+// fireTimers runs the timers due by now (retry re-entries, hedge issue
+// points) in order.
+func (l *replayLoop) fireTimers() {
+	e := l.e
+	for len(l.timers) > 0 && l.timers[0].at <= l.now {
+		tm := l.timers[0]
+		l.timers = l.timers[1:]
+		st := &l.states[tm.req]
 		if st.done {
-			return // a sibling already won; this batch's span was pure waste
+			continue
 		}
-		st.done = true
-		doneCount++
-		if a.hedge {
-			e.stats.HedgeWins++
+		if !tm.hedge {
+			if e.sink != nil {
+				e.emitRetry(int64(tm.req)+1, tm.at, tm.dur, int(tm.wave))
+			}
+			l.enqueue(tm.req, tm.at)
+			continue
 		}
-		wait := a.start - a.arrival
-		e.record(a.service, wait, a.batch, a.cached, a.total)
-		e.stats.LatencyHist.Observe(a.end - rq.Arrival)
-		res.Completions[a.req] = Completion{
-			Agent: rq.Agent, Arrival: rq.Arrival, Start: a.start, Done: a.end,
-			QueueWait: wait, BatchSize: a.batch,
-			PromptTokens: a.total, CachedTokens: a.cached,
-			Retries: st.retries, Hedged: st.everHedged,
+		// Stale guards: the request moved to a newer wave, already hedged
+		// this wave, or has no live attempt to hedge. Hedging into an
+		// overloaded queue is counterproductive: the shed policy suppresses
+		// the duplicate silently (the original attempt is unaffected).
+		if tm.wave != st.wave || st.hedged || st.live < 1 || l.shedNow(tm.at, l.reqs[tm.req].Priority) {
+			continue
 		}
+		st.hedged, st.everHedged = true, true
+		e.stats.HedgesIssued++
+		l.admit(rAttempt{req: tm.req, hedge: true, arrival: tm.at})
 		if e.sink != nil {
-			e.emitComplete(int64(a.req)+1, rq.Agent, a.ri, a.end, a.end-rq.Arrival, wait, a.batch, a.cached, a.total)
-		}
-		// Cancel queued duplicates for free; they never reached a replica.
-		for i := 0; i < len(queue); {
-			if attempts[queue[i]].req == a.req {
-				st.live--
-				queue = append(queue[:i], queue[i+1:]...)
-				continue
-			}
-			i++
+			e.emitHedge(int64(tm.req)+1, tm.at)
 		}
 	}
+}
 
-	shouldLaunch := func() bool {
-		if e.cfg.MaxBatch <= 1 || len(queue) >= e.cfg.MaxBatch {
-			return true
+// crashBatch handles a launch whose span hits crash window w on replica ri:
+// the crash kills the whole batch. It reverts the replica's served count,
+// charges the occupancy burned until the crash, and puts every member back
+// into admission at the crash instant — except members whose deadline has
+// already passed, which time out right there.
+func (l *replayLoop) crashBatch(r *replica, ri int, w faultWindow) {
+	e := l.e
+	r.requests -= len(l.batch)
+	e.busyAcc += w.start - l.now
+	e.crashReplica(r, ri, w, len(l.batch))
+	for _, ai := range l.batch {
+		if w.start >= l.expiry(ai) {
+			l.timeOutAttempt(ai, w.start)
+		} else {
+			l.queue = append(l.queue, ai)
+			l.dirty = true
+			l.expireAt = min(l.expireAt, l.expiry(ai))
 		}
-		if nextArr >= len(order) && len(timers) == 0 {
-			return true // nothing else is coming; waiting is pure loss
-		}
-		return now-oldestQueued() >= e.cfg.MaxWait
 	}
-
-	for doneCount < len(reqs) {
-		if e.fx != nil {
-			e.applyFaults(now)
-		}
-		e.maybeAutoscale(now)
-
-		// 1. Batch completions due by now, in (end, attempt id) order: the
-		// first completion of a request wins it; later ones were waste.
-		for {
-			best := -1
-			for idx, ai := range inflight {
-				a := &attempts[ai]
-				if a.end > now {
-					continue
-				}
-				if best < 0 || a.end < attempts[inflight[best]].end ||
-					(a.end == attempts[inflight[best]].end && ai < inflight[best]) {
-					best = idx
-				}
-			}
-			if best < 0 {
-				break
-			}
-			ai := inflight[best]
-			inflight = append(inflight[:best], inflight[best+1:]...)
-			attempts[ai].inflight = false
-			states[attempts[ai].req].live--
-			resolveServed(ai)
-		}
-
-		// 2. Deadline expiries among queued attempts, in (expiry, id) order.
-		if hasDeadlines {
-			for {
-				best, bestTe := -1, time.Duration(0)
-				for _, ai := range queue {
-					a := &attempts[ai]
-					d := reqs[a.req].Deadline
-					if d <= 0 {
-						continue
-					}
-					te := a.arrival + d
-					if te > now {
-						continue
-					}
-					if best < 0 || te < bestTe || (te == bestTe && ai < best) {
-						best, bestTe = ai, te
-					}
-				}
-				if best < 0 {
-					break
-				}
-				dropFromQueue(best)
-				timeOutAttempt(best, bestTe)
-			}
-		}
-
-		// 3. Due timers (retry re-entries, hedge issue points), in (at, seq)
-		// order.
-		for {
-			best := -1
-			for i := range timers {
-				if timers[i].at > now {
-					continue
-				}
-				if best < 0 || timers[i].at < timers[best].at ||
-					(timers[i].at == timers[best].at && timers[i].seq < timers[best].seq) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			tm := timers[best]
-			timers = append(timers[:best], timers[best+1:]...)
-			st := &states[tm.req]
-			switch tm.kind {
-			case timerRetry:
-				if st.done {
-					break
-				}
-				if e.sink != nil {
-					e.emitRetry(int64(tm.req)+1, tm.at, tm.dur, tm.wave)
-				}
-				enqueue(tm.req, tm.at)
-			case timerHedge:
-				// Stale guards: the request resolved, moved to a newer wave,
-				// already hedged this wave, or has no live attempt to hedge.
-				if st.done || tm.wave != st.wave || st.hedged || st.live < 1 {
-					break
-				}
-				// Hedging into an overloaded queue is counterproductive: the
-				// shed policy suppresses the duplicate silently (the original
-				// attempt is unaffected).
-				if shedNow(tm.at, reqs[tm.req].Priority) {
-					break
-				}
-				st.hedged, st.everHedged = true, true
-				st.live++
-				e.stats.HedgesIssued++
-				attempts = append(attempts, rAttempt{req: tm.req, hedge: true, arrival: tm.at})
-				queue = append(queue, len(attempts)-1)
-				queueDirty = true
-				if e.sink != nil {
-					e.emitHedge(int64(tm.req)+1, tm.at)
-				}
-			}
-		}
-
-		// 4. Original arrivals.
-		for nextArr < len(order) && reqs[order[nextArr]].Arrival <= now {
-			qi := order[nextArr]
-			nextArr++
-			enqueue(qi, reqs[qi].Arrival)
-		}
-		sortQueue()
-
-		// 5. Launch batches while an idle replica and the policy allow. A
-		// batch never carries two attempts of the same request (racing your
-		// own duplicate inside one batch is pure waste); skipped duplicates
-		// stay queued.
-		for len(queue) > 0 && shouldLaunch() {
-			r := e.routeIdle(now, keys[attempts[queue[0]].req])
-			if r == nil {
-				break
-			}
-			var batch []int
-			for _, ai := range queue {
-				dup := false
-				for _, bi := range batch {
-					if attempts[bi].req == attempts[ai].req {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				batch = append(batch, ai)
-				if len(batch) >= e.cfg.MaxBatch {
-					break
-				}
-			}
-			n := len(batch)
-			taken := make(map[int]bool, n)
-			for _, ai := range batch {
-				taken[ai] = true
-			}
-			rest := queue[:0]
-			for _, ai := range queue {
-				if !taken[ai] {
-					rest = append(rest, ai)
-				}
-			}
-			queue = rest
-
-			bkeys := make([]promptKey, n)
-			outs := make([]int, n)
-			for bi, ai := range batch {
-				bkeys[bi], outs[bi] = keys[attempts[ai].req], reqs[attempts[ai].req].OutTokens
-			}
-			ri := e.rindex(r)
-			var evBefore int
-			if e.sink != nil {
-				e.emitRoute(int64(attempts[batch[0]].req)+1, now, r, bkeys[0])
-				_, _, evBefore = r.cache.stats()
-			}
-			service, members, totalEff, maxOut := e.admitBatch(r, bkeys, outs)
-			if e.fx != nil {
-				if f := e.stragFactor(ri, now); f > 1 {
-					service = time.Duration(float64(service) * f)
-				}
-				if w, hit := e.crashIn(ri, now, now+service); hit {
-					// The crash kills the whole batch: revert the replica's
-					// served count, charge the occupancy burned until the
-					// crash, and put every member back into admission at the
-					// crash instant — except members whose deadline has
-					// already passed, which time out right there.
-					r.requests -= n
-					e.busyAcc += w.start - now
-					e.crashReplica(r, ri, w, n)
-					for _, ai := range batch {
-						a := &attempts[ai]
-						if d := reqs[a.req].Deadline; d > 0 && w.start >= a.arrival+d {
-							timeOutAttempt(ai, w.start)
-							continue
-						}
-						queue = append(queue, ai)
-						queueDirty = true
-					}
-					sortQueue()
-					continue
-				}
-			}
-			end := now + service
-			e.sealFrontier(r)
-			r.startBatch(now, end, n, totalEff, maxOut, service)
-			e.busyAcc += service
-			res.Batches++
-			if e.sink != nil {
-				for bi, ai := range batch {
-					e.emitCache(int64(attempts[ai].req)+1, now, ri, members[bi].cached, members[bi].total)
-				}
-				if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-					e.emitEvict(now, ri, evAfter-evBefore)
-				}
-				e.emitBatchStart(now, ri, n, totalEff, maxOut, service)
-			}
-			for bi, ai := range batch {
-				a := &attempts[ai]
-				a.inflight = true
-				a.start, a.end, a.service = now, end, service
-				a.batch, a.cached, a.total = n, members[bi].cached, members[bi].total
-				a.ri = ri
-				inflight = append(inflight, ai)
-			}
-			if end > res.Makespan {
-				res.Makespan = end
-			}
-		}
-		if doneCount >= len(reqs) {
-			break
-		}
-
-		// 6. Advance virtual time to the next event: an arrival, a timer, a
-		// queued attempt's deadline, a batch completing, a replica freeing
-		// (or restarting), a batching-window expiry, an autoscale tick, or
-		// an idle replica's scheduled crash.
-		next := time.Duration(1<<63 - 1)
-		if nextArr < len(order) {
-			if t := reqs[order[nextArr]].Arrival; t < next {
-				next = t
-			}
-		}
-		for i := range timers {
-			if t := timers[i].at; t > now && t < next {
-				next = t
-			}
-		}
-		for _, ai := range queue {
-			if d := reqs[attempts[ai].req].Deadline; d > 0 {
-				if t := attempts[ai].arrival + d; t > now && t < next {
-					next = t
-				}
-			}
-		}
-		for _, ai := range inflight {
-			if t := attempts[ai].end; t > now && t < next {
-				next = t
-			}
-		}
-		if len(queue) > 0 && e.cfg.MaxBatch > 1 {
-			if t := oldestQueued() + e.cfg.MaxWait; t > now && t < next {
-				next = t
-			}
-		}
-		for ri := range e.replicas[:e.active] {
-			if t := e.replicas[ri].freeAt; t > now && t < next {
-				next = t
-			}
-		}
-		if e.cfg.Autoscale.enabled() && e.asNext > now && e.asNext < next {
-			next = e.asNext
-		}
-		if t, ok := e.nextFault(now); ok && t < next {
-			next = t
-		}
-		if next <= now {
-			next = now + time.Nanosecond // safety: time must advance
-		}
-		now = next
-	}
-	if e.fx != nil {
-		// Drain downtime accounting through the end of the run: windows
-		// opening after the last served batch still count as downtime
-		// inside the horizon actually simulated.
-		e.applyFaults(res.Makespan)
-	}
-	e.finishAutoscale(res.Makespan)
-	res.Stats = e.Stats()
-	return res
+	l.sortQueue()
 }
