@@ -15,12 +15,34 @@ import (
 	"embench/internal/serve/obs"
 )
 
-// updateReplayGolden rewrites testdata/replay_seed.golden. The golden was
-// generated on the seed replay loop (the policy-free event loop that
-// predates the attempt-scheduled one) and pins that the single open-loop
-// event core reproduces it exactly; regenerate only when replay semantics
-// change on purpose.
-var updateReplayGolden = flag.Bool("update", false, "rewrite the replay seed golden")
+// updateGolden rewrites the testdata goldens of the seed-equivalence tests
+// (testdata/replay_seed.golden, testdata/serve_seed.golden). Each golden
+// was generated on the code its test pins the current code to; regenerate
+// only when serving semantics change on purpose.
+var updateGolden = flag.Bool("update", false, "rewrite the seed-equivalence goldens")
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (run with -update on a known-good tree): %v", path, err)
+	}
+	if got != string(want) {
+		t.Errorf("results drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
 
 // seedGridConfig is one cell of the seed-equivalence grid: a policy-free,
 // fault-free deployment that exercises batching, routing, the prefix cache
@@ -85,22 +107,5 @@ func TestReplaySeedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "replay_seed.golden")
-	if *updateReplayGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update on a known-good tree): %v", path, err)
-	}
-	if got != string(want) {
-		t.Errorf("replay drifted from the seed golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
+	checkGolden(t, "replay_seed.golden", b.String())
 }
