@@ -436,9 +436,9 @@ func (e *Endpoint) Serve(c llm.Call) llm.Served {
 	e.busyAcc += service
 	e.record(service, wait, 1, members[0].cached, members[0].total)
 	if e.sink != nil {
-		e.emitCache(req, c.Arrival, ri, members[0].cached, members[0].total)
+		e.emitCache(req, arrival, ri, members[0].cached, members[0].total)
 		if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-			e.emitEvict(c.Arrival, ri, evAfter-evBefore)
+			e.emitEvict(arrival, ri, evAfter-evBefore)
 		}
 		e.emitBatchStart(start, ri, 1, totalEff, maxOut, service)
 		e.emitComplete(req, c.Agent, ri, end, end-c.Arrival, wait, 1, members[0].cached, members[0].total)
@@ -476,6 +476,9 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 			arrival = c.Arrival
 		}
 	}
+	if e.fx != nil {
+		e.applyFaults(arrival)
+	}
 	e.maybeAutoscale(arrival)
 	// Hash the members' prefix chains into endpoint-owned scratch, exactly
 	// as Serve does for a single call: the key/out slices are reused across
@@ -499,9 +502,6 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 		keys[i] = e.chainInto(arena[len(arena):len(arena):cap(arena)], c.Prompt)
 		arena = arena[:len(arena)+len(keys[i].secs)]
 		outs[i] = c.OutTokens
-	}
-	if e.fx != nil {
-		e.applyFaults(arrival)
 	}
 	r := e.routeBatch(arrival, keys, calls[0].OutTokens)
 	var reqIDs []int64
