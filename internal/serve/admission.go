@@ -34,12 +34,11 @@ func (e *Endpoint) promptCostOn(r *replica, k promptKey) (eff float64, cached, t
 
 // admitBatch is THE request-admission path: it prices a batch of memoized
 // prompts against one replica's prefix cache in admission order and
-// returns the batch service time plus per-member pricing. Closed-loop
-// serving (Endpoint.Serve new batches), explicit step-phase batches
-// (Endpoint.ServeBatch) and open-loop replay (Replay batch launches) all
-// admit through this helper, so a given request sequence prices
-// identically whichever path carries it — the property the
-// closed-vs-open-loop regression test pins down.
+// returns the batch service time plus per-member pricing. The closed-loop
+// new-batch path (Endpoint.launch, which Serve and ServeBatch share) and
+// open-loop replay's batch launches both admit through this helper, so a
+// given request sequence prices identically whichever path carries it —
+// the property the closed-vs-open-loop regression test pins down.
 //
 // The returned members slice is scratch owned by the endpoint: it is valid
 // until the next admission and must not be retained across calls.

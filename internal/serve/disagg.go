@@ -28,9 +28,12 @@ import (
 // decode pool as a promptless request carrying only its generation length;
 // the decode pool's profile has Overhead and PrefillRate 0, so its batches
 // cost only the decode term (with the usual batch slowdown at the DECODE
-// pool's occupancy). In open-loop replay the decode queue is the standard
-// (Priority, arrival, index) admission queue, so Request.Priority governs
-// exactly where decode contention forms.
+// pool's occupancy). In closed-loop serving Serve and ServeBatch both take
+// one path (disaggState.serve): a single call or an explicit batch enters
+// the prefill pool as one unit, and its members re-arrive at the decode
+// pool as one unit again. In open-loop replay the decode queue is the
+// standard (Priority, arrival, index) admission queue, so Request.Priority
+// governs exactly where decode contention forms.
 //
 // # Accounting
 //
@@ -62,6 +65,12 @@ type disaggState struct {
 	// latency/wait distributions and the handoff totals. fold() grafts the
 	// pools' sums around it.
 	stats metrics.Serving
+	// Closed-loop scratch reused across serve calls (the endpoint is not
+	// concurrency-safe by contract): the prefill-stage results and the
+	// decode-stage submissions, so a single disaggregated call allocates
+	// nothing per request.
+	ps     []llm.Served
+	dcalls []llm.Call
 }
 
 // stageProfiles splits one pricing profile into its prefill-only and
@@ -129,67 +138,49 @@ func (e *Endpoint) emitHandoff(req int64, agent string, t time.Duration, tokens 
 	})
 }
 
-// serve runs one closed-loop request through prefill → handoff → decode.
-// The decode-stage submission is promptless (only the generation length
-// survives the handoff), re-arriving at prefill completion plus the priced
-// transfer; its queueing and batching then play out on the decode pool's
-// own timeline. The returned Served sums the stages; Decode covers the
-// handoff plus the decode stage — the trailing window an async agent
-// pipeline may overlap.
-func (d *disaggState) serve(e *Endpoint, c llm.Call) llm.Served {
-	ps := d.prefill.Serve(c)
-	h := d.handoff.cost(ps.PromptTokens)
-	handoffT := c.Arrival + ps.Latency
-	if e.sink != nil {
-		e.emitHandoff(d.prefill.reqID, c.Agent, handoffT, ps.PromptTokens, h)
+// serve is the closed-loop path for Serve and ServeBatch alike: the calls
+// run through prefill → handoff → decode as one unit — one prefill batch
+// (or a single call), then, handoffs priced per member, one decode
+// submission, with each member's result written into out. A decode-stage
+// submission is promptless (only the generation length survives the
+// handoff), re-arriving at prefill completion plus the priced transfer;
+// its queueing and batching then play out on the decode pool's own
+// timeline. Members leave prefill together, so equal handoff costs
+// re-arrive together and the decode pool batches them again. Each Served
+// sums the stages; Decode covers the handoff plus the decode stage — the
+// trailing window an async agent pipeline may overlap.
+func (d *disaggState) serve(e *Endpoint, calls []llm.Call, out []llm.Served) {
+	n := len(calls)
+	if cap(d.ps) < n {
+		d.ps = make([]llm.Served, n)
+		d.dcalls = make([]llm.Call, n)
 	}
-	ds := d.decode.Serve(llm.Call{Agent: c.Agent, Arrival: handoffT + h, OutTokens: c.OutTokens})
-	lat := ps.Latency + h + ds.Latency
-	wait := ps.QueueWait + ds.QueueWait
-	d.stats.LatencyHist.Observe(lat)
-	d.stats.QueueWaitHist.Observe(wait)
-	d.stats.HandoffTime += h
-	d.stats.HandoffTokens += ps.PromptTokens
-	return llm.Served{
-		Latency: lat, QueueWait: wait, BatchSize: ds.BatchSize,
-		CachedTokens: ps.CachedTokens, PromptTokens: ps.PromptTokens,
-		Decode: h + ds.Latency,
-	}
-}
-
-// serveBatch runs an explicitly aggregated batch through both stages: one
-// prefill batch, then (handoffs priced per member) one decode batch. All
-// members leave prefill together, so equal handoff costs re-arrive
-// together and the decode pool batches them again.
-func (d *disaggState) serveBatch(e *Endpoint, calls []llm.Call) []llm.Served {
-	ps := d.prefill.ServeBatch(calls)
-	reqBase := d.prefill.reqID - int64(len(calls)) + 1
-	dcalls := make([]llm.Call, len(calls))
-	hs := make([]time.Duration, len(calls))
+	ps, dcalls := d.ps[:n], d.dcalls[:n]
+	d.prefill.serveBatch(calls, ps)
+	reqBase := d.prefill.reqID - int64(n) + 1
 	for i, c := range calls {
-		hs[i] = d.handoff.cost(ps[i].PromptTokens)
+		h := d.handoff.cost(ps[i].PromptTokens)
 		handoffT := c.Arrival + ps[i].Latency
 		if e.sink != nil {
-			e.emitHandoff(reqBase+int64(i), c.Agent, handoffT, ps[i].PromptTokens, hs[i])
+			e.emitHandoff(reqBase+int64(i), c.Agent, handoffT, ps[i].PromptTokens, h)
 		}
-		d.stats.HandoffTime += hs[i]
+		d.stats.HandoffTime += h
 		d.stats.HandoffTokens += ps[i].PromptTokens
-		dcalls[i] = llm.Call{Agent: c.Agent, Arrival: handoffT + hs[i], OutTokens: c.OutTokens}
+		dcalls[i] = llm.Call{Agent: c.Agent, Arrival: handoffT + h, OutTokens: c.OutTokens}
 	}
-	ds := d.decode.ServeBatch(dcalls)
-	out := make([]llm.Served, len(calls))
+	d.decode.serveBatch(dcalls, out)
 	for i := range calls {
-		lat := ps[i].Latency + hs[i] + ds[i].Latency
-		wait := ps[i].QueueWait + ds[i].QueueWait
+		h := d.handoff.cost(ps[i].PromptTokens)
+		lat := ps[i].Latency + h + out[i].Latency
+		wait := ps[i].QueueWait + out[i].QueueWait
 		d.stats.LatencyHist.Observe(lat)
 		d.stats.QueueWaitHist.Observe(wait)
 		out[i] = llm.Served{
-			Latency: lat, QueueWait: wait, BatchSize: ds[i].BatchSize,
+			Latency: lat, QueueWait: wait, BatchSize: out[i].BatchSize,
 			CachedTokens: ps[i].CachedTokens, PromptTokens: ps[i].PromptTokens,
-			Decode: hs[i] + ds[i].Latency,
+			Decode: h + out[i].Latency,
 		}
 	}
-	return out
 }
 
 // replayDisagg is the open-loop path, two passes of the one replay event

@@ -72,14 +72,18 @@ type Endpoint struct {
 	busyAcc  time.Duration // cumulative in-batch replica time
 	lastBusy time.Duration // busyAcc at the previous evaluation
 	// Single-call scratch, reused across Serve calls (the endpoint is not
-	// concurrency-safe by contract): the prefix-chain buffer, plus
-	// one-element admission slices so the unbatched hot path allocates
-	// nothing per request.
-	kbuf   []sectionKey
-	oneKey [1]promptKey
-	oneOut [1]int
-	mbuf   []admitted
-	// Batch-call scratch for ServeBatch (same contract): the per-member key
+	// concurrency-safe by contract): the prefix-chain buffer, plus the
+	// one-element call, key, out-token and result slices Serve hands to
+	// launch, so the unbatched hot path allocates nothing per request. A
+	// disaggregated parent uses oneCall/oneServed the same way for its
+	// stage pools. mbuf is admitBatch's per-member pricing.
+	kbuf      []sectionKey
+	oneCall   [1]llm.Call
+	oneKey    [1]promptKey
+	oneOut    [1]int
+	oneServed [1]llm.Served
+	mbuf      []admitted
+	// Batch-call scratch for serveBatch (same contract): the per-member key
 	// and out-token slices, plus one shared section-key arena the members'
 	// chains are sliced out of — sized up front so appending never
 	// reallocates under an already-handed-out promptKey.
@@ -256,7 +260,9 @@ func (e *Endpoint) Reset() {
 // replica (see RoutingPolicy).
 func (e *Endpoint) Serve(c llm.Call) llm.Served {
 	if e.dis != nil {
-		return e.dis.serve(e, c)
+		e.oneCall[0] = c
+		e.dis.serve(e, e.oneCall[:], e.oneServed[:])
+		return e.oneServed[0]
 	}
 	if e.fx != nil {
 		// Apply every crash window that has begun by the arrival watermark
@@ -292,23 +298,12 @@ func (e *Endpoint) Serve(c llm.Call) llm.Served {
 			_, _, evBefore = r.cache.stats()
 		}
 		eff, cached, total := e.promptCostOn(r, k)
+		end := e.joinedEnd(r, eff, c.OutTokens)
 		r.requests++
 		r.batchN++
 		r.batchTok += eff
 		if c.OutTokens > r.batchOut {
 			r.batchOut = c.OutTokens
-		}
-		svc := e.cfg.Profile.BatchServiceTime(r.batchN, r.batchTok, r.batchOut)
-		if e.fx != nil {
-			// The in-flight batch launched under this straggler factor; its
-			// extension pays the same slowdown.
-			if f := e.fx.clocks[e.rindex(r)].batchFactor; f > 1 {
-				svc = time.Duration(float64(svc) * f)
-			}
-		}
-		end := r.batchStart + svc
-		if end < r.batchEnd {
-			end = r.batchEnd
 		}
 		// The join restates every member's completion to the new end: shift
 		// the buffered final latencies by the extension before appending the
@@ -320,9 +315,7 @@ func (e *Endpoint) Serve(c llm.Call) llm.Served {
 		e.busyAcc += end - r.batchEnd
 		if e.sink != nil {
 			e.emitCache(req, c.Arrival, ri, cached, total)
-			if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-				e.emitEvict(c.Arrival, ri, evAfter-evBefore)
-			}
+			e.emitEvict(c.Arrival, ri, evBefore)
 			e.sink.Event(obs.Event{
 				Kind: obs.KindBatchJoin, T: c.Arrival, Shard: e.shard,
 				Replica: ri, Req: req, Batch: r.batchN, Dur: end - r.batchEnd,
@@ -336,29 +329,18 @@ func (e *Endpoint) Serve(c llm.Call) llm.Served {
 		// Restate the batch's stats at its new size: every member — the
 		// already-reported ones included — rode a batch of batchN sequences
 		// taking (end - start) each.
-		e.stats.Requests++
-		e.stats.QueueWait += wait
-		e.stats.QueueWaitHist.Observe(wait)
-		perMember := end - r.batchStart
-		e.stats.Service += time.Duration(r.batchN)*perMember - r.recService
-		r.recService = time.Duration(r.batchN) * perMember
-		e.stats.BatchedSeqs += r.batchN*r.batchN - r.recSeqs
-		r.recSeqs = r.batchN * r.batchN
-		e.stats.PrefillTokens += total
-		e.stats.CachedTokens += cached
+		svc := time.Duration(r.batchN)*(end-r.batchStart) - r.recService
+		seqs := r.batchN*r.batchN - r.recSeqs
+		e.record(svc, wait, seqs, cached, total)
+		r.recService += svc
+		r.recSeqs += seqs
 		if e.sink != nil {
 			e.emitComplete(req, c.Agent, ri, end, end-c.Arrival, wait, r.batchN, cached, total)
 		}
-		// Decode share: the member's in-batch time minus the batch priced at
-		// zero output, clamped to its own as-served latency (a late joiner's
-		// latency can be shorter than the batch span it rode).
-		dec := (end - r.batchStart) - e.cfg.Profile.BatchServiceTime(r.batchN, r.batchTok, 0)
-		if dec < 0 {
-			dec = 0
-		}
-		if lat := end - c.Arrival; dec > lat {
-			dec = lat
-		}
+		// The member's decode share is the extended batch's, clamped to its
+		// own as-served latency (a late joiner's latency can be shorter than
+		// the batch span it rode).
+		dec := min(e.decodeShare(r.batchN, r.batchTok, end-r.batchStart), end-c.Arrival)
 		return llm.Served{
 			Latency: end - c.Arrival, QueueWait: wait,
 			BatchSize: r.batchN, CachedTokens: cached, PromptTokens: total,
@@ -366,92 +348,9 @@ func (e *Endpoint) Serve(c llm.Call) llm.Served {
 		}
 	}
 
-	// Start a new batch: queue behind the replica's frontier if busy. Under
-	// fault injection the admission may fail — the batch's service span hits
-	// a scheduled crash — in which case the crash kills the batch and the
-	// request re-enters admission at the crash time, routing again among the
-	// surviving replicas (deterministically: the schedule is seeded).
-	e.oneKey[0], e.oneOut[0] = k, c.OutTokens
-	var (
-		start, service time.Duration
-		members        []admitted
-		totalEff       float64
-		maxOut         int
-		ri, evBefore   int
-	)
-	arrival := c.Arrival
-	for {
-		start = arrival
-		if r.freeAt > start {
-			start = r.freeAt
-		}
-		if e.fx != nil {
-			// Crash windows opening while the replica sits idle (or warms up
-			// after a scale-up) push its availability back before the batch
-			// can begin.
-			fi := e.rindex(r)
-			e.applyIdleCrashes(r, fi, start)
-			if r.freeAt > start {
-				start = r.freeAt
-			}
-		}
-		if e.sink != nil {
-			ri = e.rindex(r)
-			_, _, evBefore = r.cache.stats()
-		}
-		service, members, totalEff, maxOut = e.admitBatch(r, e.oneKey[:], e.oneOut[:])
-		if e.fx == nil {
-			break
-		}
-		fi := e.rindex(r)
-		f := e.stragFactor(fi, start)
-		if f > 1 {
-			service = time.Duration(float64(service) * f)
-		}
-		if w, hit := e.crashIn(fi, start, start+service); hit {
-			// Undo the admission the crash voided: the replica never served
-			// the request (its count reverts), but the span it burned until
-			// the crash is real occupancy — the autoscaler sees failures as
-			// scale-up pressure. crashReplica flushes the cache, erasing the
-			// admission's inserted prefixes along with the warm state.
-			r.requests--
-			e.busyAcc += w.start - start
-			e.crashReplica(r, fi, w, 1)
-			e.applyFaults(w.start)
-			arrival = w.start
-			r = e.route(arrival, k, c.OutTokens)
-			if e.sink != nil {
-				e.emitRoute(req, arrival, r, k)
-			}
-			continue
-		}
-		e.fx.clocks[fi].batchFactor = f
-		break
-	}
-	wait := start - c.Arrival
-	end := start + service
-	e.sealFrontier(r)
-	r.startBatch(start, end, 1, totalEff, maxOut, service)
-	r.lats = append(r.lats, end-c.Arrival)
-	e.busyAcc += service
-	e.record(service, wait, 1, members[0].cached, members[0].total)
-	if e.sink != nil {
-		e.emitCache(req, arrival, ri, members[0].cached, members[0].total)
-		if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-			e.emitEvict(arrival, ri, evAfter-evBefore)
-		}
-		e.emitBatchStart(start, ri, 1, totalEff, maxOut, service)
-		e.emitComplete(req, c.Agent, ri, end, end-c.Arrival, wait, 1, members[0].cached, members[0].total)
-	}
-	dec := service - e.cfg.Profile.BatchServiceTime(1, totalEff, 0)
-	if dec < 0 {
-		dec = 0
-	}
-	return llm.Served{
-		Latency: end - c.Arrival, QueueWait: wait,
-		BatchSize: 1, CachedTokens: members[0].cached, PromptTokens: members[0].total,
-		Decode: dec,
-	}
+	e.oneCall[0], e.oneKey[0], e.oneOut[0] = c, k, c.OutTokens
+	e.launch(r, c.Arrival, e.oneCall[:], e.oneKey[:], e.oneOut[:], req, e.oneServed[:])
+	return e.oneServed[0]
 }
 
 // ServeBatch serves an explicitly aggregated batch (llm.BatchBackend): the
@@ -464,27 +363,42 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 	if len(calls) == 0 {
 		return nil
 	}
+	out := make([]llm.Served, len(calls))
+	e.serveBatch(calls, out)
+	return out
+}
+
+// batchArrival is an explicit batch's admission time: its last member's
+// arrival (the batch cannot launch before it is complete).
+func batchArrival(calls []llm.Call) time.Duration {
+	t := calls[0].Arrival
+	for _, c := range calls[1:] {
+		t = max(t, c.Arrival)
+	}
+	return t
+}
+
+// serveBatch is ServeBatch writing into out (len(out) == len(calls) > 0).
+// A single call is served exactly as Serve serves it.
+func (e *Endpoint) serveBatch(calls []llm.Call, out []llm.Served) {
 	if len(calls) == 1 {
-		return []llm.Served{e.Serve(calls[0])}
+		out[0] = e.Serve(calls[0])
+		return
 	}
 	if e.dis != nil {
-		return e.dis.serveBatch(e, calls)
+		e.dis.serve(e, calls, out)
+		return
 	}
-	arrival := calls[0].Arrival
-	for _, c := range calls[1:] {
-		if c.Arrival > arrival {
-			arrival = c.Arrival
-		}
-	}
+	arrival := batchArrival(calls)
 	if e.fx != nil {
 		e.applyFaults(arrival)
 	}
 	e.maybeAutoscale(arrival)
 	// Hash the members' prefix chains into endpoint-owned scratch, exactly
 	// as Serve does for a single call: the key/out slices are reused across
-	// ServeBatch calls, and the chains share one section-key arena that is
-	// sized up front (growing it mid-loop would reallocate the backing
-	// array out from under the keys already built).
+	// calls, and the chains share one section-key arena that is sized up
+	// front (growing it mid-loop would reallocate the backing array out
+	// from under the keys already built).
 	if cap(e.bkeys) < len(calls) {
 		e.bkeys = make([]promptKey, len(calls))
 		e.bouts = make([]int, len(calls))
@@ -503,19 +417,31 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 		arena = arena[:len(arena)+len(keys[i].secs)]
 		outs[i] = c.OutTokens
 	}
-	r := e.routeBatch(arrival, keys, calls[0].OutTokens)
-	var reqIDs []int64
+	r := e.routeBatch(arrival, keys, outs[0])
+	var req0 int64
 	if e.sink != nil {
-		reqIDs = make([]int64, len(calls))
-		for i, c := range calls {
-			reqIDs[i] = e.nextReq()
-			e.emitSubmit(reqIDs[i], c.Agent, c.Arrival, c.Prompt, c.OutTokens, 0)
+		req0 = e.reqID + 1
+		for _, c := range calls {
+			e.emitSubmit(e.nextReq(), c.Agent, c.Arrival, c.Prompt, c.OutTokens, 0)
 		}
-		e.emitRoute(reqIDs[0], arrival, r, keys[0])
+		e.emitRoute(req0, arrival, r, keys[0])
 	}
-	// Same crash-retry shape as Serve's new-batch path: an explicit batch
-	// whose span hits a scheduled crash dies whole and re-enters admission
-	// at the crash time.
+	e.launch(r, arrival, calls, keys, outs, req0, out)
+}
+
+// launch is the closed-loop new-batch path shared by Serve and ServeBatch:
+// it starts calls — keys and outs are their hashed prompts and generation
+// lengths — as one fresh batch on the routed replica r, admitted at
+// arrival, and writes each member's Served into out. The batch queues
+// behind r's frontier. Under fault injection a crash window opening while
+// r sits idle (or warms up after a scale-up) pushes the start back, and a
+// batch whose service span hits a scheduled crash dies whole: its members
+// re-enter admission at the crash instant, routing again among the
+// surviving replicas (deterministically: the schedule is seeded), and
+// their cache events carry that re-admission instant. req0 is the first
+// member's request id; the others follow consecutively (sink path only).
+func (e *Endpoint) launch(r *replica, arrival time.Duration, calls []llm.Call, keys []promptKey, outs []int, req0 int64, out []llm.Served) {
+	n := len(calls)
 	var (
 		start, service time.Duration
 		members        []admitted
@@ -529,8 +455,7 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 			start = r.freeAt
 		}
 		if e.fx != nil {
-			fi := e.rindex(r)
-			e.applyIdleCrashes(r, fi, start)
+			e.applyIdleCrashes(r, e.rindex(r), start)
 			if r.freeAt > start {
 				start = r.freeAt
 			}
@@ -548,59 +473,87 @@ func (e *Endpoint) ServeBatch(calls []llm.Call) []llm.Served {
 		if f > 1 {
 			service = time.Duration(float64(service) * f)
 		}
-		if w, hit := e.crashIn(fi, start, start+service); hit {
-			r.requests -= len(calls)
-			e.busyAcc += w.start - start
-			e.crashReplica(r, fi, w, len(calls))
-			e.applyFaults(w.start)
-			arrival = w.start
-			r = e.routeBatch(arrival, keys, calls[0].OutTokens)
-			if e.sink != nil {
-				e.emitRoute(reqIDs[0], arrival, r, keys[0])
-			}
-			continue
+		w, hit := e.crashIn(fi, start, start+service)
+		if !hit {
+			e.fx.clocks[fi].batchFactor = f
+			break
 		}
-		e.fx.clocks[fi].batchFactor = f
-		break
+		// Undo the admission the crash voided: the replica never served the
+		// members (its count reverts), but the span it burned until the
+		// crash is real occupancy — the autoscaler sees failures as scale-up
+		// pressure. crashReplica flushes the cache, erasing the admission's
+		// inserted prefixes along with the warm state.
+		r.requests -= n
+		e.busyAcc += w.start - start
+		e.crashReplica(r, fi, w, n)
+		e.applyFaults(w.start)
+		arrival = w.start
+		r = e.routeBatch(arrival, keys, outs[0])
+		if e.sink != nil {
+			e.emitRoute(req0, arrival, r, keys[0])
+		}
 	}
 	end := start + service
 	e.sealFrontier(r)
-	r.startBatch(start, end, len(calls), totalEff, maxOut, service)
+	r.startBatch(start, end, n, totalEff, maxOut, service)
 	e.busyAcc += service
 	if e.sink != nil {
-		for i := range calls {
-			e.emitCache(reqIDs[i], arrival, ri, members[i].cached, members[i].total)
+		for i := range members {
+			e.emitCache(req0+int64(i), arrival, ri, members[i].cached, members[i].total)
 		}
-		if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-			e.emitEvict(arrival, ri, evAfter-evBefore)
-		}
-		e.emitBatchStart(start, ri, len(calls), totalEff, maxOut, service)
+		e.emitEvict(arrival, ri, evBefore)
+		e.emitBatchStart(start, ri, n, totalEff, maxOut, service)
 	}
-	dec := service - e.cfg.Profile.BatchServiceTime(len(calls), totalEff, 0)
-	if dec < 0 {
-		dec = 0
-	}
-	out := make([]llm.Served, len(calls))
+	dec := e.decodeShare(n, totalEff, service)
 	for i, c := range calls {
 		wait := start - c.Arrival
 		r.lats = append(r.lats, end-c.Arrival)
-		e.record(service, wait, len(calls), members[i].cached, members[i].total)
+		e.record(service, wait, n, members[i].cached, members[i].total)
 		if e.sink != nil {
-			e.emitComplete(reqIDs[i], c.Agent, ri, end, end-c.Arrival, wait, len(calls), members[i].cached, members[i].total)
+			e.emitComplete(req0+int64(i), c.Agent, ri, end, end-c.Arrival, wait, n, members[i].cached, members[i].total)
 		}
 		out[i] = llm.Served{
 			Latency: end - c.Arrival, QueueWait: wait,
-			BatchSize: len(calls), CachedTokens: members[i].cached,
+			BatchSize: n, CachedTokens: members[i].cached,
 			PromptTokens: members[i].total, Decode: dec,
 		}
 	}
-	return out
 }
 
-// record folds one served request into the running statistics. Queue waits
-// go straight into the histogram — they are final at admission and never
-// restated; end-to-end latencies ride the replica's frontier buffer instead
-// (see replica.lats).
+// decodeShare is the decode-stage share of a batch of n sequences with tok
+// effective prefill tokens served in service: the service time minus the
+// same batch priced at zero output, never negative.
+func (e *Endpoint) decodeShare(n int, tok float64, service time.Duration) time.Duration {
+	return max(service-e.cfg.Profile.BatchServiceTime(n, tok, 0), 0)
+}
+
+// joinedEnd prices r's in-flight frontier batch extended by one joiner
+// paying eff effective prefill tokens and generating out tokens: the
+// extended batch's completion time, never earlier than the current one.
+// The extension pays the straggler factor the batch launched under. Both
+// the join itself and the fault-path joinSafe probe price through it.
+func (e *Endpoint) joinedEnd(r *replica, eff float64, out int) time.Duration {
+	if r.batchOut > out {
+		out = r.batchOut
+	}
+	svc := e.cfg.Profile.BatchServiceTime(r.batchN+1, r.batchTok+eff, out)
+	if e.fx != nil {
+		if f := e.fx.clocks[e.rindex(r)].batchFactor; f > 1 {
+			svc = time.Duration(float64(svc) * f)
+		}
+	}
+	if end := r.batchStart + svc; end > r.batchEnd {
+		return end
+	}
+	return r.batchEnd
+}
+
+// record folds one served request into the running statistics. service
+// and batchN are its additions to the Service and BatchedSeqs sums — a
+// join passes the restatement of the whole batch instead. Queue waits go
+// straight into the histogram — they are final at admission and never
+// restated; end-to-end latencies ride the replica's frontier buffer
+// instead (see replica.lats).
 func (e *Endpoint) record(service, wait time.Duration, batchN, cached, total int) {
 	e.stats.Requests++
 	e.stats.QueueWait += wait

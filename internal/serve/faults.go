@@ -566,27 +566,13 @@ func (e *Endpoint) applyIdleCrashes(r *replica, ri int, t time.Duration) {
 
 // joinSafe reports whether joining the keyed request onto r's in-flight
 // frontier batch keeps the extended batch clear of r's next scheduled
-// crash. It previews the join's pricing without touching the cache (an
-// insertion cannot change its own batch's service time), so refusing the
-// join leaves no state to unwind — the request simply falls through to the
-// new-batch path.
+// crash. It prices the join through joinedEnd, as the join itself does,
+// but without touching the cache (an insertion cannot change its own
+// batch's service time), so refusing the join leaves no state to unwind —
+// the request simply falls through to the new-batch path (launch).
 func (e *Endpoint) joinSafe(r *replica, k promptKey, out int) bool {
-	ri := e.rindex(r)
-	cached := r.cache.matchKey(k)
-	eff := r.batchTok + e.discountedEff(cached, k.total)
-	o := r.batchOut
-	if out > o {
-		o = out
-	}
-	svc := e.cfg.Profile.BatchServiceTime(r.batchN+1, eff, o)
-	if f := e.fx.clocks[ri].batchFactor; f > 1 {
-		svc = time.Duration(float64(svc) * f)
-	}
-	end := r.batchStart + svc
-	if end < r.batchEnd {
-		end = r.batchEnd
-	}
-	return !e.crashWould(ri, end)
+	eff := e.discountedEff(r.cache.matchKey(k), k.total)
+	return !e.crashWould(e.rindex(r), e.joinedEnd(r, eff, out))
 }
 
 // dropFaultsBefore discards crash windows that ended entirely while the

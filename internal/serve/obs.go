@@ -118,27 +118,26 @@ func (e *Endpoint) emitCache(req int64, t time.Duration, ri, cached, total int) 
 	})
 }
 
-// emitEvict records capacity-eviction churn: delta is the eviction-counter
-// growth across an admission (zero deltas are dropped).
-func (e *Endpoint) emitEvict(t time.Duration, ri, delta int) {
-	if delta <= 0 {
+// emitEvict records capacity-eviction churn across an admission on
+// replica ri: evBefore is the replica's eviction counter before the
+// admission (zero growth is dropped).
+func (e *Endpoint) emitEvict(t time.Duration, ri, evBefore int) {
+	_, _, ev := e.replicas[ri].cache.stats()
+	if ev <= evBefore {
 		return
 	}
 	e.sink.Event(obs.Event{
-		Kind: obs.KindCacheEvict, T: t, Shard: e.shard, Replica: ri, Tokens: delta,
+		Kind: obs.KindCacheEvict, T: t, Shard: e.shard, Replica: ri, Tokens: ev - evBefore,
 	})
 }
 
 // emitBatchStart records a batch launch: size, effective prefill tokens,
-// service time and its decode share (the same batch priced at zero output).
+// service time and its decode share.
 func (e *Endpoint) emitBatchStart(t time.Duration, ri, n int, totalEff float64, maxOut int, service time.Duration) {
-	dec := service - e.cfg.Profile.BatchServiceTime(n, totalEff, 0)
-	if dec < 0 {
-		dec = 0
-	}
 	e.sink.Event(obs.Event{
 		Kind: obs.KindBatchStart, T: t, Shard: e.shard, Replica: ri,
-		Batch: n, Tokens: int(totalEff), Out: maxOut, Dur: service, Decode: dec,
+		Batch: n, Tokens: int(totalEff), Out: maxOut, Dur: service,
+		Decode: e.decodeShare(n, totalEff, service),
 	})
 }
 

@@ -415,9 +415,7 @@ func (l *replayLoop) launch() {
 			for bi, ai := range l.batch {
 				e.emitCache(int64(l.attempts[ai].req)+1, l.now, ri, members[bi].cached, members[bi].total)
 			}
-			if _, _, evAfter := r.cache.stats(); evAfter > evBefore {
-				e.emitEvict(l.now, ri, evAfter-evBefore)
-			}
+			e.emitEvict(l.now, ri, evBefore)
 			e.emitBatchStart(l.now, ri, n, totalEff, maxOut, service)
 		}
 		for bi, ai := range l.batch {

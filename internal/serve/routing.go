@@ -202,8 +202,12 @@ func (e *Endpoint) batchPressure(r *replica, keys []promptKey) int {
 // chains, and charging only one member's growth would let aggregated
 // traffic pile onto the warm replica that single-call routing has learned
 // to spread (without a budget both terms vanish and this is exactly
-// route(arrival, keys[0], outTokens)).
+// route(arrival, keys[0], outTokens)). A single key routes through route
+// itself, so a re-admitted single call places exactly as Serve placed it.
 func (e *Endpoint) routeBatch(arrival time.Duration, keys []promptKey, outTokens int) *replica {
+	if len(keys) == 1 {
+		return e.route(arrival, keys[0], outTokens)
+	}
 	act := e.replicas[:e.active]
 	switch e.cfg.Routing {
 	case RouteCacheAffinity:
