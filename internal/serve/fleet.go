@@ -251,19 +251,26 @@ func (f *Fleet) dispatch() {
 		c := f.heapPopMin()
 		// c is live again but its next request is not revealed yet.
 		f.unrevealed++
-		p := c.pend
-		f.emitAdmit(c, p)
-		if p.batch != nil {
-			p.resB = f.ep.ServeBatch(p.batch)
-		} else {
-			p.res = f.ep.Serve(p.call)
-		}
-		p.served = true
+		f.serve(c)
 		// One-slot buffer and at most one outstanding request per client:
 		// the send can only find the buffer empty, so it never blocks and
 		// never drops a needed token.
 		c.wake <- struct{}{}
 	}
+}
+
+// serve admits c's revealed pending request: it records the admission,
+// serves the request against the shared endpoint and marks it served. Both
+// merges (dispatch, dispatchLinear) admit through it. Runs with f.mu held.
+func (f *Fleet) serve(c *FleetClient) {
+	p := c.pend
+	f.emitAdmit(c, p)
+	if p.batch != nil {
+		p.resB = f.ep.ServeBatch(p.batch)
+	} else {
+		p.res = f.ep.Serve(p.call)
+	}
+	p.served = true
 }
 
 // submit parks the calling episode's request in the merge and blocks until
@@ -322,14 +329,8 @@ func (c *FleetClient) ServeBatch(calls []llm.Call) []llm.Served {
 	if len(calls) == 0 {
 		return nil
 	}
-	arrival := calls[0].Arrival
-	for _, call := range calls[1:] {
-		if call.Arrival > arrival {
-			arrival = call.Arrival
-		}
-	}
 	p := &c.scratch
-	*p = fleetPending{arrival: arrival, batch: calls}
+	*p = fleetPending{arrival: batchArrival(calls), batch: calls}
 	c.submit(p)
 	for _, s := range p.resB {
 		c.fold(s)
@@ -405,14 +406,7 @@ func (f *Fleet) dispatchLinear() {
 		if best == nil {
 			return // every episode finished
 		}
-		p := best.pend
-		f.emitAdmit(best, p)
-		if p.batch != nil {
-			p.resB = f.ep.ServeBatch(p.batch)
-		} else {
-			p.res = f.ep.Serve(p.call)
-		}
-		p.served = true
+		f.serve(best)
 		f.cond.Broadcast()
 	}
 }
