@@ -26,24 +26,41 @@ func monotoneCalls(n int) []llm.Call {
 	return calls
 }
 
+// TestServeNilSinkZeroAllocs pins the un-instrumented closed-loop hot path
+// at zero allocations per request, on a monolithic endpoint and on a
+// disaggregated one (whose stage pools serve through the same path).
 func TestServeNilSinkZeroAllocs(t *testing.T) {
-	e := New(Config{Profile: noJitter, Replicas: 2, MaxBatch: 4,
-		MaxWait: time.Second, CacheTokens: 4096})
-	call := llm.Call{Agent: "a", Prompt: sharedPrompt("a", 40), OutTokens: 30}
-	// Warm the endpoint's reusable scratch (chain buffer, latency buffers,
-	// cache entries, histogram state) so steady state is what's measured.
-	for i := 0; i < 16; i++ {
-		call.Arrival = time.Duration(i) * time.Second
-		e.Serve(call)
-	}
-	arrival := call.Arrival
-	allocs := testing.AllocsPerRun(200, func() {
-		arrival += time.Second
-		call.Arrival = arrival
-		e.Serve(call)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-sink Serve allocates %.1f objects/request, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"monolithic", Config{Profile: noJitter, Replicas: 2, MaxBatch: 4,
+			MaxWait: time.Second, CacheTokens: 4096}},
+		{"disaggregated", Config{Profile: noJitter, CacheTokens: 4096,
+			Prefill: PoolConfig{Replicas: 2, MaxBatch: 4, MaxWait: time.Second},
+			Decode:  PoolConfig{Replicas: 2, MaxBatch: 4, MaxWait: time.Second},
+			Handoff: Handoff{Latency: 40 * time.Millisecond, TokensPerSec: 200000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(tc.cfg)
+			call := llm.Call{Agent: "a", Prompt: sharedPrompt("a", 40), OutTokens: 30}
+			// Warm the endpoint's reusable scratch (chain buffer, latency
+			// buffers, cache entries, histogram state) so steady state is
+			// what's measured.
+			for i := 0; i < 16; i++ {
+				call.Arrival = time.Duration(i) * time.Second
+				e.Serve(call)
+			}
+			arrival := call.Arrival
+			allocs := testing.AllocsPerRun(200, func() {
+				arrival += time.Second
+				call.Arrival = arrival
+				e.Serve(call)
+			})
+			if allocs != 0 {
+				t.Fatalf("nil-sink Serve allocates %.1f objects/request, want 0", allocs)
+			}
+		})
 	}
 }
 
