@@ -106,9 +106,10 @@ type Endpoint struct {
 	fx *faultState
 	// dis, when non-nil, makes this endpoint a disaggregated parent: every
 	// serving entry point dispatches to the prefill/decode stage pools (see
-	// disagg.go) and the fields above except sink/shard go unused. nil — the
-	// default for every monolithic config — leaves all paths byte-identical
-	// to builds predating disaggregation.
+	// disagg.go) and the fields above except sink/shard and the
+	// oneCall/oneServed scratch go unused. nil — the default for every
+	// monolithic config — leaves all paths byte-identical to builds
+	// predating disaggregation.
 	dis *disaggState
 }
 
