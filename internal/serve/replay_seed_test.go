@@ -15,10 +15,13 @@ import (
 	"embench/internal/serve/obs"
 )
 
-// updateGolden rewrites the testdata goldens of the seed-equivalence tests
-// (testdata/replay_seed.golden, testdata/serve_seed.golden). Each golden
-// was generated on the code its test pins the current code to; regenerate
-// only when serving semantics change on purpose.
+// updateGolden rewrites the testdata goldens of the seed-equivalence tests.
+// testdata/replay_seed.golden was generated on the seed replay loop (the
+// policy-free event loop that predates the attempt-scheduled one), and
+// testdata/serve_seed.golden on the closed-loop Serve/ServeBatch code from
+// before the two shared one launch routine. Each pins the current code to
+// that reference; regenerate only when serving semantics change on
+// purpose.
 var updateGolden = flag.Bool("update", false, "rewrite the seed-equivalence goldens")
 
 // checkGolden compares got with testdata/name, or rewrites the file under
