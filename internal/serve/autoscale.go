@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"math"
-	"strconv"
-	"strings"
 	"time"
 
 	"embench/internal/serve/obs"
@@ -76,74 +73,22 @@ func (a Autoscale) withDefaults(replicas int) Autoscale {
 	return a
 }
 
-// ParseAutoscale converts a CLI/config string into an Autoscale policy.
-// Accepted forms:
-//
-//	""            disabled (the zero policy)
-//	"off"         disabled
-//	"on"          the default policy (interval=30s,cold=15s,up=0.7,down=0.25)
-//	"k=v,..."     explicit fields: interval=DUR, cold=DUR, up=FLOAT,
-//	              down=FLOAT, min=INT, max=INT (unset fields default)
-//
-// Like ParseRouting, the returned policy is the zero value on error — not
-// a usable fallback — so a caller that drops the error cannot silently run
-// unscaled where the user asked for scaling.
+// ParseAutoscale parses an autoscale spec in the shared spec grammar
+// (spec.go, docs/EXPERIMENTS.md). "on" is interval=30s,cold=15s; the
+// fields are interval=DUR, cold=DUR, up=F, down=F (utilizations in
+// (0,1]), min=N and max=N, unset fields taking their defaults. An explicit
+// spec must set interval. The policy is the zero value on error.
 func ParseAutoscale(s string) (Autoscale, error) {
-	switch s {
-	case "", "off":
-		return Autoscale{}, nil
-	case "on":
-		return Autoscale{Interval: 30 * time.Second, ColdStart: 15 * time.Second}, nil
-	}
 	var a Autoscale
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Autoscale{}, fmt.Errorf("serve: bad autoscale field %q (want key=value; off|on|interval=DUR,cold=DUR,up=F,down=F,min=N,max=N)", part)
-		}
-		switch k {
-		case "interval", "cold":
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return Autoscale{}, fmt.Errorf("serve: bad autoscale %s %q (want a non-negative duration like 30s)", k, v)
-			}
-			if k == "interval" {
-				a.Interval = d
-			} else {
-				a.ColdStart = d
-			}
-		case "up", "down":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f > 1 {
-				return Autoscale{}, fmt.Errorf("serve: bad autoscale %s %q (want a utilization in (0,1])", k, v)
-			}
-			if k == "up" {
-				a.UpUtil = f
-			} else {
-				a.DownUtil = f
-			}
-		case "min", "max":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return Autoscale{}, fmt.Errorf("serve: bad autoscale %s %q (want a positive integer)", k, v)
-			}
-			if k == "min" {
-				a.Min = n
-			} else {
-				a.Max = n
-			}
-		default:
-			return Autoscale{}, fmt.Errorf("serve: unknown autoscale field %q (interval|cold|up|down|min|max)", k)
-		}
-	}
-	if a.Interval <= 0 {
-		return Autoscale{}, fmt.Errorf("serve: autoscale spec %q needs interval=DUR > 0 (or use \"on\" for defaults)", s)
-	}
-	return a, nil
+	err := parseSpec(&a, "autoscale", s, &Autoscale{Interval: 30 * time.Second, ColdStart: 15 * time.Second},
+		Autoscale.enabled, "interval=DUR",
+		durField("interval", &a.Interval, 0),
+		durField("cold", &a.ColdStart, 0),
+		floatField("up", &a.UpUtil, utilRule),
+		floatField("down", &a.DownUtil, utilRule),
+		intField("min", &a.Min, 1),
+		intField("max", &a.Max, 1))
+	return a, err
 }
 
 // maybeAutoscale advances the evaluation clock through every tick at or

@@ -2,9 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"embench/internal/rng"
@@ -96,72 +95,23 @@ func (f Faults) validate() error {
 	return nil
 }
 
-// ParseFaults converts a CLI/config string into a Faults config. Accepted
-// forms, following ParseAutoscale:
-//
-//	""       disabled (the zero config)
-//	"off"    disabled
-//	"on"     the default crash process (mtbf=5m,mttr=30s)
-//	"k=v,.." explicit fields: mtbf=DUR, mttr=DUR, straggle=DUR (mean gap
-//	         between straggler episodes), for=DUR (mean episode length),
-//	         slow=FLOAT (straggler service multiplier), seed=UINT
-//
-// The returned config is the zero value on error — not a usable fallback —
-// so a caller that drops the error cannot silently run fault-free where the
-// user asked for faults.
+// ParseFaults parses a faults spec in the shared spec grammar (spec.go,
+// docs/EXPERIMENTS.md). "on" is the default crash process
+// (mtbf=5m,mttr=30s); the fields are mtbf=DUR, mttr=DUR, straggle=DUR (mean
+// gap between straggler episodes), for=DUR (mean episode length), slow=F
+// (straggler service multiplier) and seed=UINT. An explicit spec must set
+// mtbf or straggle. The config is the zero value on error.
 func ParseFaults(s string) (Faults, error) {
-	switch s {
-	case "", "off":
-		return Faults{}, nil
-	case "on":
-		return Faults{MTBF: 5 * time.Minute, MTTR: 30 * time.Second}, nil
-	}
 	var f Faults
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Faults{}, fmt.Errorf("serve: bad faults field %q (want key=value; off|on|mtbf=DUR,mttr=DUR,straggle=DUR,for=DUR,slow=F,seed=N)", part)
-		}
-		switch k {
-		case "mtbf", "mttr", "straggle", "for":
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return Faults{}, fmt.Errorf("serve: bad faults %s %q (want a non-negative duration like 5m)", k, v)
-			}
-			switch k {
-			case "mtbf":
-				f.MTBF = d
-			case "mttr":
-				f.MTTR = d
-			case "straggle":
-				f.StragglerEvery = d
-			case "for":
-				f.StragglerFor = d
-			}
-		case "slow":
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x < 1 {
-				return Faults{}, fmt.Errorf("serve: bad faults slow %q (want a factor >= 1)", v)
-			}
-			f.StragglerFactor = x
-		case "seed":
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return Faults{}, fmt.Errorf("serve: bad faults seed %q (want an unsigned integer)", v)
-			}
-			f.Seed = n
-		default:
-			return Faults{}, fmt.Errorf("serve: unknown faults field %q (mtbf|mttr|straggle|for|slow|seed)", k)
-		}
-	}
-	if !f.enabled() {
-		return Faults{}, fmt.Errorf("serve: faults spec %q enables nothing (set mtbf=DUR or straggle=DUR, or use \"on\")", s)
-	}
-	return f, nil
+	err := parseSpec(&f, "faults", s, &Faults{MTBF: 5 * time.Minute, MTTR: 30 * time.Second},
+		Faults.enabled, "mtbf=DUR or straggle=DUR",
+		durField("mtbf", &f.MTBF, 0),
+		durField("mttr", &f.MTTR, 0),
+		durField("straggle", &f.StragglerEvery, 0),
+		durField("for", &f.StragglerFor, 0),
+		floatField("slow", &f.StragglerFactor, slowRule),
+		uintField("seed", &f.Seed))
+	return f, err
 }
 
 // RetryPolicy re-issues a replayed request after a deadline timeout:
@@ -216,59 +166,19 @@ func (p RetryPolicy) backoff(k int, st *rng.Stream) time.Duration {
 	return time.Duration(d)
 }
 
-// ParseRetry converts a CLI/config string into a RetryPolicy: ""/"off"
-// disabled, "on" the default policy (max=2,base=500ms,factor=2,jitter=0.2),
-// or explicit max=N,base=DUR,factor=F,jitter=F fields. Zero value on error.
+// ParseRetry parses a retry spec in the shared spec grammar (spec.go,
+// docs/EXPERIMENTS.md). "on" is max=2,jitter=0.2 (base 500ms and factor 2
+// by default); the fields are max=N, base=DUR, factor=F and jitter=F. An
+// explicit spec must set max. The policy is the zero value on error.
 func ParseRetry(s string) (RetryPolicy, error) {
-	switch s {
-	case "", "off":
-		return RetryPolicy{}, nil
-	case "on":
-		return RetryPolicy{Max: 2, Jitter: 0.2}, nil
-	}
 	var p RetryPolicy
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return RetryPolicy{}, fmt.Errorf("serve: bad retry field %q (want key=value; off|on|max=N,base=DUR,factor=F,jitter=F)", part)
-		}
-		switch k {
-		case "max":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return RetryPolicy{}, fmt.Errorf("serve: bad retry max %q (want a positive integer)", v)
-			}
-			p.Max = n
-		case "base":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return RetryPolicy{}, fmt.Errorf("serve: bad retry base %q (want a positive duration)", v)
-			}
-			p.Base = d
-		case "factor":
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x <= 0 {
-				return RetryPolicy{}, fmt.Errorf("serve: bad retry factor %q (want > 0)", v)
-			}
-			p.Factor = x
-		case "jitter":
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x < 0 {
-				return RetryPolicy{}, fmt.Errorf("serve: bad retry jitter %q (want >= 0)", v)
-			}
-			p.Jitter = x
-		default:
-			return RetryPolicy{}, fmt.Errorf("serve: unknown retry field %q (max|base|factor|jitter)", k)
-		}
-	}
-	if p.Max < 1 {
-		return RetryPolicy{}, fmt.Errorf("serve: retry spec %q needs max=N >= 1 (or use \"on\")", s)
-	}
-	return p, nil
+	err := parseSpec(&p, "retry", s, &RetryPolicy{Max: 2, Jitter: 0.2},
+		RetryPolicy.enabled, "max=N",
+		intField("max", &p.Max, 1),
+		durField("base", &p.Base, time.Nanosecond),
+		floatField("factor", &p.Factor, factorRule),
+		floatField("jitter", &p.Jitter, jitterRule))
+	return p, err
 }
 
 // HedgePolicy issues a duplicate copy of a replayed request that has waited
@@ -284,35 +194,15 @@ type HedgePolicy struct {
 // enabled reports whether the policy does anything.
 func (p HedgePolicy) enabled() bool { return p.Delay > 0 }
 
-// ParseHedge converts a CLI/config string into a HedgePolicy: ""/"off"
-// disabled, "on" the default (delay=2s), or delay=DUR. Zero value on error.
+// ParseHedge parses a hedge spec in the shared spec grammar (spec.go,
+// docs/EXPERIMENTS.md): "on" is delay=2s, and the one field is delay=DUR.
+// The policy is the zero value on error.
 func ParseHedge(s string) (HedgePolicy, error) {
-	switch s {
-	case "", "off":
-		return HedgePolicy{}, nil
-	case "on":
-		return HedgePolicy{Delay: 2 * time.Second}, nil
-	}
 	var p HedgePolicy
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok || k != "delay" {
-			return HedgePolicy{}, fmt.Errorf("serve: bad hedge field %q (want off|on|delay=DUR)", part)
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return HedgePolicy{}, fmt.Errorf("serve: bad hedge delay %q (want a positive duration)", v)
-		}
-		p.Delay = d
-	}
-	if p.Delay <= 0 {
-		return HedgePolicy{}, fmt.Errorf("serve: hedge spec %q needs delay=DUR > 0 (or use \"on\")", s)
-	}
-	return p, nil
+	err := parseSpec(&p, "hedge", s, &HedgePolicy{Delay: 2 * time.Second},
+		HedgePolicy.enabled, "delay=DUR",
+		durField("delay", &p.Delay, time.Nanosecond))
+	return p, err
 }
 
 // ShedPolicy is priority-aware admission load shedding for replayed
@@ -336,53 +226,18 @@ type ShedPolicy struct {
 // enabled reports whether the policy does anything.
 func (p ShedPolicy) enabled() bool { return p.Queue > 0 || p.Wait > 0 }
 
-// ParseShed converts a CLI/config string into a ShedPolicy: ""/"off"
-// disabled, "on" the default (queue=32), or queue=N,wait=DUR,prio=N fields.
-// Zero value on error.
+// ParseShed parses a shed spec in the shared spec grammar (spec.go,
+// docs/EXPERIMENTS.md). "on" is queue=32; the fields are queue=N, wait=DUR
+// and prio=N. An explicit spec must set queue or wait. The policy is the
+// zero value on error.
 func ParseShed(s string) (ShedPolicy, error) {
-	switch s {
-	case "", "off":
-		return ShedPolicy{}, nil
-	case "on":
-		return ShedPolicy{Queue: 32}, nil
-	}
 	var p ShedPolicy
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return ShedPolicy{}, fmt.Errorf("serve: bad shed field %q (want key=value; off|on|queue=N,wait=DUR,prio=N)", part)
-		}
-		switch k {
-		case "queue":
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ShedPolicy{}, fmt.Errorf("serve: bad shed queue %q (want a positive integer)", v)
-			}
-			p.Queue = n
-		case "wait":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return ShedPolicy{}, fmt.Errorf("serve: bad shed wait %q (want a positive duration)", v)
-			}
-			p.Wait = d
-		case "prio":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return ShedPolicy{}, fmt.Errorf("serve: bad shed prio %q (want an integer)", v)
-			}
-			p.Priority = n
-		default:
-			return ShedPolicy{}, fmt.Errorf("serve: unknown shed field %q (queue|wait|prio)", k)
-		}
-	}
-	if !p.enabled() {
-		return ShedPolicy{}, fmt.Errorf("serve: shed spec %q enables nothing (set queue=N or wait=DUR, or use \"on\")", s)
-	}
-	return p, nil
+	err := parseSpec(&p, "shed", s, &ShedPolicy{Queue: 32},
+		ShedPolicy.enabled, "queue=N or wait=DUR",
+		intField("queue", &p.Queue, 1),
+		durField("wait", &p.Wait, time.Nanosecond),
+		intField("prio", &p.Priority, math.MinInt))
+	return p, err
 }
 
 // faultWindow is one scheduled down (or straggler) interval.

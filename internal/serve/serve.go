@@ -58,8 +58,6 @@ package serve
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"embench/internal/llm"
@@ -196,47 +194,16 @@ func (h Handoff) cost(promptTokens int) time.Duration {
 	return d
 }
 
-// ParseHandoff parses a handoff spec of the form "lat=DURATION,rate=TOKENS_PER_SEC"
-// (either key may be omitted). "" and "off" mean the zero (free) handoff.
+// ParseHandoff parses a handoff spec in the shared spec grammar (spec.go,
+// docs/EXPERIMENTS.md): "" and "off" are the free handoff, and the fields
+// are lat=DUR and rate=TOKENS_PER_SEC (either may be omitted). There is no
+// "on". The cost is the zero value on error.
 func ParseHandoff(s string) (Handoff, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "off" {
-		return Handoff{}, nil
-	}
 	var h Handoff
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return Handoff{}, fmt.Errorf("serve: handoff spec %q: want key=value, got %q", s, part)
-		}
-		switch strings.TrimSpace(k) {
-		case "lat":
-			d, err := time.ParseDuration(strings.TrimSpace(v))
-			if err != nil {
-				return Handoff{}, fmt.Errorf("serve: handoff lat: %v", err)
-			}
-			if d < 0 {
-				return Handoff{}, fmt.Errorf("serve: handoff lat must be >= 0, got %v", d)
-			}
-			h.Latency = d
-		case "rate":
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return Handoff{}, fmt.Errorf("serve: handoff rate: %v", err)
-			}
-			if f < 0 {
-				return Handoff{}, fmt.Errorf("serve: handoff rate must be >= 0, got %v", f)
-			}
-			h.TokensPerSec = f
-		default:
-			return Handoff{}, fmt.Errorf("serve: handoff spec %q: unknown key %q", s, k)
-		}
-	}
-	return h, nil
+	err := parseSpec(&h, "handoff", s, nil, nil, "",
+		durField("lat", &h.Latency, 0),
+		floatField("rate", &h.TokensPerSec, rateRule))
+	return h, err
 }
 
 // Disaggregated reports whether the config splits the endpoint into
