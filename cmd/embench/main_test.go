@@ -51,6 +51,12 @@ func TestCLIErrorSurface(t *testing.T) {
 		{"shed bad queue", append(replay, "-serve-shed", "queue=deep"), "-serve-shed:"},
 		{"shed zero queue", append(replay, "-serve-shed", "queue=0"), "-serve-shed:"},
 		{"deadline negative replay", append(replay, "-serve-deadline", "-40s"), "-serve-deadline"},
+		// Non-finite and unrepresentable numbers: each used to run and
+		// report garbage virtual times.
+		{"faults infinite slow", append(replay, "-serve-faults", "straggle=1m,slow=+Inf"), "-serve-faults:"},
+		{"retry NaN factor", append(replay, "-serve-retry", "max=2,factor=NaN"), "-serve-retry:"},
+		{"handoff tiny rate", append(replay, "-serve-handoff", "rate=1e-300"), "-serve-handoff:"},
+		{"autoscale NaN up", []string{"-exp", "fig12", "-serve-autoscale", "interval=10s,up=NaN"}, "-serve-autoscale:"},
 		// The deadline check is mode-independent: it must fire even when
 		// no serving mode would consume the value.
 		{"deadline negative list mode", []string{"-list", "-serve-deadline", "-1s"}, "-serve-deadline"},

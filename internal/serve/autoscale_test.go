@@ -11,7 +11,8 @@ import (
 )
 
 // TestParseAutoscale pins the CLI surface: accepted spellings and the
-// zero-value-on-error contract.
+// zero-value-on-error contract, for autoscale and then, through one table
+// (spec_test.go), for every serving spec.
 func TestParseAutoscale(t *testing.T) {
 	for _, s := range []string{"", "off"} {
 		a, err := ParseAutoscale(s)
@@ -45,6 +46,9 @@ func TestParseAutoscale(t *testing.T) {
 		if !strings.Contains(err.Error(), "autoscale") {
 			t.Fatalf("ParseAutoscale(%q) error lacks context: %v", bad, err)
 		}
+	}
+	for _, k := range specKinds {
+		t.Run(k.name, func(t *testing.T) { checkSpecKind(t, k) })
 	}
 }
 

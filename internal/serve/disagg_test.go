@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -361,6 +362,19 @@ func TestConfigValidate(t *testing.T) {
 		"negative pool cache":       {Prefill: PoolConfig{Replicas: 1, CacheTokens: -1}, Decode: PoolConfig{Replicas: 1}},
 		"negative handoff latency":  {Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}, Handoff: Handoff{Latency: -time.Second}},
 		"negative handoff rate":     {Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}, Handoff: Handoff{TokensPerSec: -5}},
+		// The spec number rules hold for programmatic configs too.
+		"NaN handoff rate":       {Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}, Handoff: Handoff{TokensPerSec: math.NaN()}},
+		"sub-unit handoff rate":  {Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}, Handoff: Handoff{TokensPerSec: 1e-300}},
+		"NaN cached prefill":     {Replicas: 1, CachedPrefillFrac: math.NaN()},
+		"cached prefill above 1": {Replicas: 1, CachedPrefillFrac: 1.5},
+		"NaN autoscale up":       {Replicas: 2, Autoscale: Autoscale{Interval: 10 * time.Second, UpUtil: math.NaN()}},
+		"autoscale down above 1": {Replicas: 2, Autoscale: Autoscale{Interval: 10 * time.Second, DownUtil: 2}},
+		"sub-second autoscale":   {Replicas: 2, Autoscale: Autoscale{Interval: time.Millisecond}},
+		"Inf straggler factor":   {Replicas: 1, Faults: Faults{StragglerEvery: time.Minute, StragglerFactor: math.Inf(1)}},
+		"huge straggler factor":  {Replicas: 1, Faults: Faults{StragglerEvery: time.Minute, StragglerFactor: 1e300}},
+		"fault mttr over cap":    {Replicas: 1, Faults: Faults{MTBF: time.Minute, MTTR: 20000 * time.Hour}},
+		"NaN retry factor":       {Replicas: 1, Retry: RetryPolicy{Max: 2, Factor: math.NaN()}},
+		"Inf retry jitter":       {Replicas: 1, Retry: RetryPolicy{Max: 2, Jitter: math.Inf(1)}},
 	}
 	for name, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

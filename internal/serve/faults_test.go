@@ -187,6 +187,27 @@ func TestServingMergeSumsResilienceCounters(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffSaturates: the backoff grows to a ceiling and stays
+// there instead of wrapping negative once Base·Factor^k leaves
+// time.Duration's range (retry 36 on, with the default policy).
+func TestRetryBackoffSaturates(t *testing.T) {
+	for _, p := range []RetryPolicy{
+		{Max: 2},
+		{Max: 2, Factor: 1e300},
+		{Max: 2, Base: 10000 * time.Hour, Factor: 1.5},
+	} {
+		p = p.withDefaults()
+		var prev time.Duration
+		for k := 0; k <= 64; k++ {
+			d := p.backoff(k, nil)
+			if d < prev {
+				t.Fatalf("%+v: backoff(%d) = %v after backoff(%d) = %v", p, k, d, k-1, prev)
+			}
+			prev = d
+		}
+	}
+}
+
 // TestValidateRejectsResilientDisagg pins the scope boundary: fault
 // injection and client resilience are monolithic-endpoint features, so a
 // disaggregated config carrying either must fail validation loudly.
