@@ -102,7 +102,7 @@ func main() {
 		srvSLO = flag.Duration("serve-slo", 0,
 			"fig12 end-to-end latency SLO (0 = default 60s; must not be negative)")
 		srvAutoscale = flag.String("serve-autoscale", "",
-			"fig12 autoscaled-deployment policy: 'on', or 'interval=30s,cold=15s,up=0.7,down=0.25,min=2,max=8' ('' = fig12 default)")
+			"replica autoscaling: for -exp fig12 the autoscaled deployment ('' = fig12 default), for -run and -replay-trace the shared endpoint ('' = none); 'on', or 'interval=30s,cold=15s,up=0.7,down=0.25,min=2,max=8'")
 		srvFaults = flag.String("serve-faults", "",
 			"deterministic replica fault injection on the shared endpoint: 'on' (mtbf=5m,mttr=30s), or 'mtbf=DUR,mttr=DUR,straggle=DUR,for=DUR,slow=F,seed=N' (''/'off' = none)")
 		srvRetry = flag.String("serve-retry", "",
@@ -146,6 +146,12 @@ func main() {
 	if *srvDeadline < 0 {
 		fatal(fmt.Errorf("-serve-deadline must not be negative, got %v", *srvDeadline))
 	}
+	autoscale := parseSpecFlag("serve-autoscale", embench.ParseAutoscale, *srvAutoscale)
+	handoff := parseSpecFlag("serve-handoff", embench.ParseHandoff, *srvHandoff)
+	faults := parseSpecFlag("serve-faults", embench.ParseFaults, *srvFaults)
+	retry := parseSpecFlag("serve-retry", embench.ParseRetry, *srvRetry)
+	hedge := parseSpecFlag("serve-hedge", embench.ParseHedge, *srvHedge)
+	shed := parseSpecFlag("serve-shed", embench.ParseShed, *srvShed)
 
 	switch {
 	case *list:
@@ -177,9 +183,6 @@ func main() {
 				}
 				arrivals = append(arrivals, part)
 			}
-		}
-		if _, err := embench.ParseAutoscale(*srvAutoscale); err != nil {
-			fatal(fmt.Errorf("-serve-autoscale: %w", err))
 		}
 		out := benchjson.File{Suite: "embench", GeneratedBy: "embench -bench-json"}
 		for _, name := range strings.Split(*exp, ",") {
@@ -264,11 +267,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		handoff, err := embench.ParseHandoff(*srvHandoff)
-		if err != nil {
-			fatal(err)
-		}
-		faults, retry, hedge, shed := resilienceFlags(*srvFaults, *srvRetry, *srvHedge, *srvShed)
 		f, err := os.Open(*replayTrace)
 		if err != nil {
 			fatal(err)
@@ -296,7 +294,7 @@ func main() {
 		sc := serve.Config{
 			Replicas: replicas, Routing: routing, MaxBatch: *srvBatch,
 			MaxWait: *srvWait, CacheEntries: *srvCache, CacheTokens: *srvCacheTok,
-			Identity: identity,
+			Identity: identity, Autoscale: autoscale,
 			Prefill: serve.PoolConfig{
 				Replicas: *srvPrefillReplicas, MaxBatch: *srvPrefillBatch, MaxWait: *srvPrefillWindow,
 			},
@@ -346,11 +344,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		handoff, err := embench.ParseHandoff(*srvHandoff)
-		if err != nil {
-			fatal(err)
-		}
-		faults, retry, hedge, shed := resilienceFlags(*srvFaults, *srvRetry, *srvHedge, *srvShed)
 		// Negative serving sizes are configuration mistakes: fail with a
 		// clear message instead of silently clamping to a default.
 		for _, v := range []struct {
@@ -379,7 +372,7 @@ func main() {
 		sc := embench.ServeConfig{
 			Replicas: *srvReplicas, Routing: routing, MaxBatch: *srvBatch,
 			MaxWait: *srvWait, CacheEntries: *srvCache, CacheTokens: *srvCacheTok,
-			Identity: identity,
+			Identity: identity, Autoscale: autoscale,
 			Prefill: serve.PoolConfig{
 				Replicas: *srvPrefillReplicas, MaxBatch: *srvPrefillBatch, MaxWait: *srvPrefillWindow,
 			},
@@ -517,26 +510,14 @@ func printResilience(s metrics.Serving) {
 		s.FailedBatches, s.ReplicaDowntime.Seconds())
 }
 
-// resilienceFlags parses the fault/resilience flag strings, exiting with
-// the flag name attached on a bad spec.
-func resilienceFlags(faults, retry, hedge, shed string) (serve.Faults, serve.RetryPolicy, serve.HedgePolicy, serve.ShedPolicy) {
-	fx, err := embench.ParseFaults(faults)
+// parseSpecFlag parses one serving-spec flag, exiting with the flag name
+// attached on a bad spec.
+func parseSpecFlag[T any](name string, parse func(string) (T, error), spec string) T {
+	v, err := parse(spec)
 	if err != nil {
-		fatal(fmt.Errorf("-serve-faults: %w", err))
+		fatal(fmt.Errorf("-%s: %w", name, err))
 	}
-	rp, err := embench.ParseRetry(retry)
-	if err != nil {
-		fatal(fmt.Errorf("-serve-retry: %w", err))
-	}
-	hp, err := embench.ParseHedge(hedge)
-	if err != nil {
-		fatal(fmt.Errorf("-serve-hedge: %w", err))
-	}
-	sp, err := embench.ParseShed(shed)
-	if err != nil {
-		fatal(fmt.Errorf("-serve-shed: %w", err))
-	}
-	return fx, rp, hp, sp
+	return v
 }
 
 // writeTraces persists a recorded event stream in the requested formats:

@@ -52,9 +52,6 @@ func (a Autoscale) withDefaults(replicas int) Autoscale {
 	if !a.enabled() {
 		return Autoscale{}
 	}
-	if a.ColdStart < 0 {
-		a.ColdStart = 0
-	}
 	if a.UpUtil <= 0 {
 		a.UpUtil = 0.7
 	}
@@ -82,10 +79,10 @@ func ParseAutoscale(s string) (Autoscale, error) {
 	var a Autoscale
 	err := parseSpec(&a, "autoscale", s, &Autoscale{Interval: 30 * time.Second, ColdStart: 15 * time.Second},
 		Autoscale.enabled, "interval=DUR",
-		durField("interval", &a.Interval, 0),
+		periodField("interval", &a.Interval),
 		durField("cold", &a.ColdStart, 0),
-		floatField("up", &a.UpUtil, utilRule),
-		floatField("down", &a.DownUtil, utilRule),
+		floatField("up", &a.UpUtil, fracRule),
+		floatField("down", &a.DownUtil, fracRule),
 		intField("min", &a.Min, 1),
 		intField("max", &a.Max, 1))
 	return a, err

@@ -58,7 +58,7 @@ type Faults struct {
 	// are enabled).
 	StragglerFor time.Duration
 	// StragglerFactor multiplies the service time of batches starting
-	// inside an episode (default 3; must be >= 1).
+	// inside an episode (default 3; must be in [1, 1000]).
 	StragglerFactor float64
 	// Seed roots the fault schedules. It is deliberately separate from the
 	// traffic seed: faults are a property of the hardware, not the workload.
@@ -84,17 +84,6 @@ func (f Faults) withDefaults() Faults {
 	return f
 }
 
-// validate rejects field values that cannot describe a fault process.
-func (f Faults) validate() error {
-	if f.MTBF < 0 || f.MTTR < 0 || f.StragglerEvery < 0 || f.StragglerFor < 0 {
-		return fmt.Errorf("serve: fault durations must be >= 0")
-	}
-	if f.StragglerFactor != 0 && f.StragglerFactor < 1 {
-		return fmt.Errorf("serve: straggler factor must be >= 1, got %v", f.StragglerFactor)
-	}
-	return nil
-}
-
 // ParseFaults parses a faults spec in the shared spec grammar (spec.go,
 // docs/EXPERIMENTS.md). "on" is the default crash process
 // (mtbf=5m,mttr=30s); the fields are mtbf=DUR, mttr=DUR, straggle=DUR (mean
@@ -105,9 +94,9 @@ func ParseFaults(s string) (Faults, error) {
 	var f Faults
 	err := parseSpec(&f, "faults", s, &Faults{MTBF: 5 * time.Minute, MTTR: 30 * time.Second},
 		Faults.enabled, "mtbf=DUR or straggle=DUR",
-		durField("mtbf", &f.MTBF, 0),
+		periodField("mtbf", &f.MTBF),
 		durField("mttr", &f.MTTR, 0),
-		durField("straggle", &f.StragglerEvery, 0),
+		periodField("straggle", &f.StragglerEvery),
 		durField("for", &f.StragglerFor, 0),
 		floatField("slow", &f.StragglerFactor, slowRule),
 		uintField("seed", &f.Seed))
@@ -146,15 +135,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Factor <= 0 {
 		p.Factor = 2
 	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
 	return p
 }
 
 // backoff prices the delay before retry number k (0-based), drawing jitter
 // from the request's own stream so retry schedules are independent across
-// requests and byte-reproducible per seed.
+// requests and byte-reproducible per seed. It saturates at maxSpecDuration,
+// so the retry time stays representable however large Base·Factor^k grows.
 func (p RetryPolicy) backoff(k int, st *rng.Stream) time.Duration {
 	d := float64(p.Base)
 	for i := 0; i < k; i++ {
@@ -163,7 +150,7 @@ func (p RetryPolicy) backoff(k int, st *rng.Stream) time.Duration {
 	if p.Jitter > 0 {
 		d *= 1 + p.Jitter*st.Float64()
 	}
-	return time.Duration(d)
+	return time.Duration(min(d, float64(maxSpecDuration)))
 }
 
 // ParseRetry parses a retry spec in the shared spec grammar (spec.go,

@@ -112,7 +112,8 @@ type Config struct {
 	// histories re-share). See CacheIdentity.
 	Identity CacheIdentity
 	// CachedPrefillFrac is the fraction of prefill cost still paid for
-	// cache-hit tokens (default 0.1 — KV reuse is cheap but not free).
+	// cache-hit tokens (default 0.1 — KV reuse is cheap but not free; must
+	// be in (0, 1]).
 	CachedPrefillFrac float64
 	// Autoscale, when enabled (Interval > 0), scales the active replica
 	// count within [Min, Max] on a virtual-time evaluation clock; Replicas
@@ -247,23 +248,46 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: %s pool cache budgets must be >= 0", p.name)
 		}
 	}
-	if c.Handoff.Latency < 0 {
-		return fmt.Errorf("serve: handoff latency must be >= 0, got %v", c.Handoff.Latency)
+	if c.Retry.Max < 0 || c.Shed.Queue < 0 {
+		return fmt.Errorf("serve: retry budget and shed queue must be >= 0")
 	}
-	if c.Handoff.TokensPerSec < 0 {
-		return fmt.Errorf("serve: handoff rate must be >= 0, got %v", c.Handoff.TokensPerSec)
+	// The spec number rules (spec.go) hold for programmatic configs too;
+	// zero selects a field's default or turns its process off.
+	for _, f := range []struct {
+		name string
+		x    float64
+		r    floatRule
+	}{
+		{"cached prefill fraction", c.CachedPrefillFrac, fracRule},
+		{"autoscale up", c.Autoscale.UpUtil, fracRule},
+		{"autoscale down", c.Autoscale.DownUtil, fracRule},
+		{"straggler factor", c.Faults.StragglerFactor, slowRule},
+		{"retry factor", c.Retry.Factor, factorRule},
+		{"retry jitter", c.Retry.Jitter, jitterRule},
+		{"handoff rate", c.Handoff.TokensPerSec, rateRule},
+	} {
+		if f.x != 0 && !f.r.ok(f.x) {
+			return fmt.Errorf("serve: %s must be %s, got %v", f.name, f.r.want, f.x)
+		}
 	}
-	if err := c.Faults.validate(); err != nil {
-		return err
-	}
-	if c.Retry.Max < 0 || c.Retry.Base < 0 || c.Retry.Factor < 0 || c.Retry.Jitter < 0 {
-		return fmt.Errorf("serve: retry policy fields must be >= 0")
-	}
-	if c.Hedge.Delay < 0 {
-		return fmt.Errorf("serve: hedge delay must be >= 0, got %v", c.Hedge.Delay)
-	}
-	if c.Shed.Queue < 0 || c.Shed.Wait < 0 {
-		return fmt.Errorf("serve: shed thresholds must be >= 0")
+	for _, f := range []struct {
+		name   string
+		d, min time.Duration
+	}{
+		{"autoscale interval", c.Autoscale.Interval, minPeriod},
+		{"autoscale cold start", c.Autoscale.ColdStart, 0},
+		{"fault mtbf", c.Faults.MTBF, minPeriod},
+		{"fault mttr", c.Faults.MTTR, 0},
+		{"straggler gap", c.Faults.StragglerEvery, minPeriod},
+		{"straggler length", c.Faults.StragglerFor, 0},
+		{"retry base", c.Retry.Base, 0},
+		{"hedge delay", c.Hedge.Delay, 0},
+		{"shed wait", c.Shed.Wait, 0},
+		{"handoff latency", c.Handoff.Latency, 0},
+	} {
+		if f.d != 0 && (f.d < f.min || f.d > maxSpecDuration) {
+			return fmt.Errorf("serve: %s must be 0 or in [%v, %v], got %v", f.name, f.min, maxSpecDuration, f.d)
+		}
 	}
 	return nil
 }
@@ -291,11 +315,8 @@ func (c Config) withDefaults() Config {
 	if c.Identity == "" {
 		c.Identity = IdentityShape
 	}
-	if c.CachedPrefillFrac <= 0 {
+	if c.CachedPrefillFrac == 0 {
 		c.CachedPrefillFrac = 0.1
-	}
-	if c.CachedPrefillFrac > 1 {
-		c.CachedPrefillFrac = 1
 	}
 	c.Autoscale = c.Autoscale.withDefaults(c.Replicas)
 	c.Faults = c.Faults.withDefaults()

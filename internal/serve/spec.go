@@ -49,12 +49,9 @@ func parseSpec[T any](dst *T, kind, s string, on *T, enabled func(T) bool, need 
 		*dst = *on
 		return nil
 	}
-	keys := func() string {
-		ks := make([]string, len(fields))
-		for i, f := range fields {
-			ks[i] = f.key
-		}
-		return strings.Join(ks, "|")
+	var keys []string
+	for _, f := range fields {
+		keys = append(keys, f.key)
 	}
 	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part == "" {
@@ -62,12 +59,12 @@ func parseSpec[T any](dst *T, kind, s string, on *T, enabled func(T) bool, need 
 		}
 		k, v, ok := strings.Cut(part, "=")
 		if !ok {
-			return fmt.Errorf("serve: bad %s field %q (want key=value with key %s)", kind, part, keys())
+			return fmt.Errorf("serve: bad %s field %q (want key=value with key %s)", kind, part, strings.Join(keys, "|"))
 		}
 		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
 		i := slices.IndexFunc(fields, func(f specField) bool { return f.key == k })
 		if i < 0 {
-			return fmt.Errorf("serve: unknown %s field %q (want %s)", kind, k, keys())
+			return fmt.Errorf("serve: unknown %s field %q (want %s)", kind, k, strings.Join(keys, "|"))
 		}
 		if !fields[i].set(v) {
 			return fmt.Errorf("serve: bad %s %s %q (want %s)", kind, k, v, fields[i].want)
@@ -79,12 +76,41 @@ func parseSpec[T any](dst *T, kind, s string, on *T, enabled func(T) bool, need 
 	return nil
 }
 
-// durField accepts a duration of at least min.
+// The number rules keep every virtual time a spec can produce
+// representable (time.Duration spans ±292 years) and every clock-driven
+// process finite. Config.Validate applies them to programmatic configs.
+const (
+	// maxSpecDuration caps every spec duration: over a year of virtual
+	// time, yet hundreds of them still fit in a time.Duration.
+	maxSpecDuration = 10000 * time.Hour
+	// minPeriod floors the mean period of the clock-driven processes
+	// (autoscale interval, crash and straggler gaps). A faster clock floods
+	// the event loop with ticks or windows, and a crash process far faster
+	// than a batch never lets it finish (mtbf=100ms never terminates).
+	minPeriod = time.Second
+	// maxStragglerFactor caps the straggler multiplier: a slower replica is
+	// better modelled as down.
+	maxStragglerFactor = 1000
+	// minHandoffRate floors a non-zero handoff rate, in tokens/s.
+	minHandoffRate = 1
+)
+
+// durField accepts a duration in [min, maxSpecDuration].
 func durField(key string, dst *time.Duration, min time.Duration) specField {
-	return specField{key, fmt.Sprintf("a duration >= %v", min), func(v string) bool {
+	return specField{key, fmt.Sprintf("a duration in [%v, %v]", min, maxSpecDuration), func(v string) bool {
 		d, err := time.ParseDuration(v)
 		*dst = d
-		return err == nil && d >= min
+		return err == nil && d >= min && d <= maxSpecDuration
+	}}
+}
+
+// periodField accepts 0 (the process is off) or a mean period in
+// [minPeriod, maxSpecDuration].
+func periodField(key string, dst *time.Duration) specField {
+	return specField{key, fmt.Sprintf("0 or a duration in [%v, %v]", minPeriod, maxSpecDuration), func(v string) bool {
+		d, err := time.ParseDuration(v)
+		*dst = d
+		return err == nil && (d == 0 || d >= minPeriod && d <= maxSpecDuration)
 	}}
 }
 
@@ -110,25 +136,27 @@ func uintField(key string, dst *uint64) specField {
 	}}
 }
 
-// floatRule is the range of one float field.
+// floatRule is the range of one float field; ok also rejects NaN and ±Inf.
 type floatRule struct {
 	want string
 	in   func(x float64) bool
 }
+
+func (r floatRule) ok(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) && r.in(x) }
 
 // floatField accepts a number the rule holds in range.
 func floatField(key string, dst *float64, r floatRule) specField {
 	return specField{key, r.want, func(v string) bool {
 		x, err := strconv.ParseFloat(v, 64)
 		*dst = x
-		return err == nil && r.in(x)
+		return err == nil && r.ok(x)
 	}}
 }
 
 var (
-	utilRule   = floatRule{"a utilization in (0,1]", func(x float64) bool { return !(x <= 0 || x > 1) }}
-	slowRule   = floatRule{"a factor >= 1", func(x float64) bool { return !(x < 1) }}
-	factorRule = floatRule{"a factor > 0", func(x float64) bool { return !(x <= 0) }}
-	jitterRule = floatRule{"a number >= 0", func(x float64) bool { return !(x < 0) }}
-	rateRule   = floatRule{"a rate >= 0", func(x float64) bool { return !(x < 0) }}
+	fracRule   = floatRule{"a fraction in (0, 1]", func(x float64) bool { return x > 0 && x <= 1 }}
+	slowRule   = floatRule{"a factor in [1, 1000]", func(x float64) bool { return x >= 1 && x <= maxStragglerFactor }}
+	factorRule = floatRule{"a finite factor > 0", func(x float64) bool { return x > 0 }}
+	jitterRule = floatRule{"a finite number >= 0", func(x float64) bool { return x >= 0 }}
+	rateRule   = floatRule{"0 or a finite rate >= 1 token/s", func(x float64) bool { return x == 0 || x >= minHandoffRate }}
 )
