@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"embench/internal/llm"
+	"embench/internal/serve/obs"
 )
 
 // specKind is one serving spec in the shared grammar: its parser, its
@@ -109,4 +113,86 @@ func checkSpecKind(t *testing.T, k specKind) {
 			t.Errorf("parse %s %q error does not name the kind: %v", k.name, s, err)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary specs to every spec parser (the kind byte
+// picks one). An error must return the zero value. A success must hold
+// only finite numbers, pass Config.Validate in a config that can hold it,
+// and replay 20 generated requests to termination with a valid event
+// stream and ordered served times.
+func FuzzParseSpec(f *testing.F) {
+	for i, k := range specKinds {
+		for _, s := range []string{"", "off", "on", k.example} {
+			f.Add(byte(i), s)
+		}
+		for _, s := range k.rejects {
+			f.Add(byte(i), s)
+		}
+	}
+	reqs := GenerateTraffic(Traffic{Seed: 1})[:20]
+	f.Fuzz(func(t *testing.T, kind byte, spec string) {
+		k := specKinds[int(kind)%len(specKinds)]
+		v, err := k.parse(spec)
+		if err != nil {
+			if !reflect.ValueOf(v).IsZero() {
+				t.Fatalf("parse %s %q: error %v with usable fallback %+v", k.name, spec, err, v)
+			}
+			return
+		}
+		rv := reflect.ValueOf(v)
+		for i := 0; i < rv.NumField(); i++ {
+			if x := rv.Field(i); x.Kind() == reflect.Float64 && (math.IsNaN(x.Float()) || math.IsInf(x.Float(), 0)) {
+				t.Fatalf("parse %s %q accepted non-finite %s: %+v", k.name, spec, rv.Type().Field(i).Name, v)
+			}
+		}
+		cfg, deadline := specConfig(v)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("parse %s %q = %+v, which Validate rejects: %v", k.name, spec, v, err)
+		}
+		in := append([]Request(nil), reqs...)
+		for i := range in {
+			in[i].Deadline = deadline
+		}
+		rec := obs.NewRecorder()
+		res := ReplayObserved(cfg, in, rec)
+		for i, c := range res.Completions {
+			if c.Outcome == OutcomeServed && (c.Start < c.Arrival || c.Done < c.Start) {
+				t.Fatalf("parse %s %q: request %d served out of order: %+v", k.name, spec, i, c)
+			}
+		}
+		if err := obs.Validate(rec.Events()); err != nil {
+			t.Fatalf("parse %s %q: replayed stream invalid: %v", k.name, spec, err)
+		}
+	})
+}
+
+// specConfig builds a config that can hold a parsed spec value, plus the
+// request deadline its replay uses. Service times are milliseconds, so a
+// slowed batch still fits between crashes one second apart; the client
+// policies get one slow replica and a short deadline, so attempts queue,
+// time out and retry.
+func specConfig(v any) (Config, time.Duration) {
+	fast := llm.Profile{Name: "fuzz", Overhead: time.Millisecond, PrefillRate: 1e7, DecodeRate: 1e6, ContextWindow: 8192}
+	cfg := Config{Profile: fast, Replicas: 2, MaxBatch: 4, MaxWait: 100 * time.Millisecond, CacheTokens: 8192}
+	slow := Config{Profile: llm.Profile{Name: "fuzz-slow", FixedLatency: 30 * time.Second}, Replicas: 1}
+	switch v := v.(type) {
+	case Autoscale:
+		cfg.Replicas, cfg.Autoscale = 4, v
+	case Faults:
+		cfg.Faults = v
+	case Handoff:
+		cfg.Replicas, cfg.Handoff = 0, v
+		cfg.Prefill = PoolConfig{Replicas: 1, MaxBatch: 4}
+		cfg.Decode = PoolConfig{Replicas: 1, MaxBatch: 4}
+	case RetryPolicy:
+		slow.Retry = v
+		return slow, time.Second
+	case HedgePolicy:
+		slow.Hedge = v
+		return slow, time.Second
+	case ShedPolicy:
+		slow.Shed = v
+		return slow, time.Second
+	}
+	return cfg, 0
 }
