@@ -9,8 +9,6 @@
 package comms
 
 import (
-	"reflect"
-
 	"embench/internal/modules/memory"
 )
 
@@ -86,7 +84,7 @@ func Novel(m Message, receiver *memory.Store) bool {
 		if !ok {
 			return true
 		}
-		if prev.Step <= r.Step && !reflect.DeepEqual(prev.Payload, r.Payload) {
+		if prev.Step <= r.Step && !memory.SamePayload(prev.Payload, r.Payload) {
 			return true
 		}
 	}

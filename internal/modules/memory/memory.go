@@ -5,7 +5,6 @@
 package memory
 
 import (
-	"reflect"
 	"strings"
 	"time"
 )
@@ -60,6 +59,7 @@ type Store struct {
 	capacity int
 	records  []Record
 	latest   map[string]int // Key -> index of most recent record
+	window   []Record       // Retrieve's reused result buffer (windowed stores)
 }
 
 // NewStore returns a store with the given capacity in steps.
@@ -96,7 +96,7 @@ func (s *Store) Add(rec Record) {
 		if i, ok := s.latest[rec.Key]; ok {
 			prev := s.records[i]
 			if prev.Step <= rec.Step && rec.Step-prev.Step < dedupWindow &&
-				reflect.DeepEqual(prev.Payload, rec.Payload) {
+				SamePayload(prev.Payload, rec.Payload) {
 				return
 			}
 		}
@@ -148,18 +148,31 @@ type Retrieval struct {
 // Retrieve returns the records within the capacity window as of
 // currentStep, newest-last, with the token and latency cost of
 // serializing them into context.
+//
+// The returned Records is a read-only view, valid until the next
+// Retrieve, Add or Clear on this store. An unlimited store returns its own
+// records; a windowed store copies the in-window records into a buffer it
+// reuses on every call. Either way the view has cap == len, so appending
+// to it copies instead of writing into the store.
+//
+// The window is a filter, not a suffix: records are not step-sorted. A
+// domain may observe an event a step late (kitchen's progress facts), so
+// an older-step record can follow a newer one, and cutting at the first
+// in-window record would change what is retrieved.
 func (s *Store) Retrieve(currentStep int) Retrieval {
 	var out []Record
-	cut := -1
-	if s.capacity > 0 {
-		cut = currentStep - s.capacity
-	}
-	if s.capacity != 0 {
+	switch {
+	case s.capacity < 0:
+		out = s.records[:len(s.records):len(s.records)]
+	case s.capacity > 0:
+		cut := currentStep - s.capacity
+		s.window = s.window[:0]
 		for _, r := range s.records {
-			if r.Step > cut || s.capacity < 0 {
-				out = append(out, r)
+			if r.Step > cut {
+				s.window = append(s.window, r)
 			}
 		}
+		out = s.window[:len(s.window):len(s.window)]
 	}
 	ret := Retrieval{Records: out}
 	for _, r := range out {
@@ -199,6 +212,7 @@ func (s *Store) Since(step int) []Record {
 // Clear resets the store for a new episode.
 func (s *Store) Clear() {
 	s.records = s.records[:0]
+	s.window = s.window[:0]
 	s.latest = make(map[string]int)
 }
 
@@ -210,6 +224,8 @@ type Dual struct {
 	Long       *Store // static environmental knowledge
 	Short      *Store // recent events
 	LongBudget int    // token budget for the long-term summary
+
+	merged []Record // Retrieve's reused result buffer
 }
 
 // NewDual returns a dual memory with the given short-term window (steps)
@@ -254,6 +270,11 @@ func (d *Dual) AddAll(recs []Record) {
 // Retrieve merges the compact long-term summary with the short-term
 // window. Long-term content is capped at LongBudget tokens regardless of
 // how much static knowledge accumulated.
+//
+// The returned Records is a read-only view with cap == len, valid until
+// the next Retrieve, Add or Clear on d: the long and short records are
+// copied into a buffer d reuses on every call. Each store's window is a
+// filter, not a suffix (see Store.Retrieve).
 func (d *Dual) Retrieve(currentStep int) Retrieval {
 	long := d.Long.Retrieve(currentStep)
 	short := d.Short.Retrieve(currentStep)
@@ -261,11 +282,9 @@ func (d *Dual) Retrieve(currentStep int) Retrieval {
 	if d.LongBudget > 0 && tokens > d.LongBudget {
 		tokens = d.LongBudget
 	}
-	recs := make([]Record, 0, len(long.Records)+len(short.Records))
-	recs = append(recs, long.Records...)
-	recs = append(recs, short.Records...)
+	d.merged = append(append(d.merged[:0], long.Records...), short.Records...)
 	return Retrieval{
-		Records: recs,
+		Records: d.merged[:len(d.merged):len(d.merged)],
 		Tokens:  tokens + short.Tokens,
 		// The long-term summary is precomputed; only the short window is
 		// scanned at plan time.
@@ -277,4 +296,5 @@ func (d *Dual) Retrieve(currentStep int) Retrieval {
 func (d *Dual) Clear() {
 	d.Long.Clear()
 	d.Short.Clear()
+	d.merged = d.merged[:0]
 }

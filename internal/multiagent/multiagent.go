@@ -11,7 +11,6 @@
 package multiagent
 
 import (
-	"reflect"
 	"time"
 
 	"embench/internal/core"
@@ -151,10 +150,11 @@ type agentSet struct {
 	agents []*core.Agent
 	clocks []*simclock.Clock
 	marks  []time.Duration
+	deltas []time.Duration // endPhase's per-agent spans, reused every phase
 }
 
 func newAgentSet(n int, cfg core.AgentConfig, src *rng.Source, tr *trace.Trace) *agentSet {
-	s := &agentSet{marks: make([]time.Duration, n)}
+	s := &agentSet{marks: make([]time.Duration, n), deltas: make([]time.Duration, n)}
 	for i := 0; i < n; i++ {
 		c := simclock.New()
 		s.clocks = append(s.clocks, c)
@@ -173,15 +173,14 @@ func (s *agentSet) beginPhase() {
 // endPhase folds the per-agent deltas into the timeline: sum when
 // sequential, max when parallel.
 func (s *agentSet) endPhase(timeline *simclock.Clock, parallel bool) {
-	var deltas []time.Duration
 	for i, c := range s.clocks {
-		deltas = append(deltas, c.Now()-s.marks[i])
+		s.deltas[i] = c.Now() - s.marks[i]
 	}
 	if parallel {
-		timeline.AdvanceParallel(deltas...)
+		timeline.AdvanceParallel(s.deltas...)
 		return
 	}
-	for _, d := range deltas {
+	for _, d := range s.deltas {
 		timeline.Advance(d)
 	}
 }
@@ -196,7 +195,7 @@ func hasEquivalent(s *memory.Store, r memory.Record) bool {
 	if !ok || prev.Step < r.Step {
 		return false
 	}
-	return reflect.DeepEqual(prev.Payload, r.Payload)
+	return memory.SamePayload(prev.Payload, r.Payload)
 }
 
 // deliver routes messages to their recipients: checks novelty against each
