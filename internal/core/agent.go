@@ -45,6 +45,10 @@ type Agent struct {
 	ID  int
 	Cfg AgentConfig
 
+	name   string          // trace identity: "agent<ID>" or "central"
+	actKey string          // memory key of the agent's action log
+	belief []memory.Record // beliefRecords' reused buffer
+
 	Store      MemStore
 	planClient *llm.Client
 	commClient *llm.Client
@@ -81,6 +85,7 @@ func NewAgent(id int, cfg AgentConfig, src *rng.Source, clock *simclock.Clock, t
 	}
 	a := &Agent{
 		ID: id, Cfg: cfg, clock: clock, tracer: tracer,
+		name: name, actKey: fmt.Sprintf("act:%d", id),
 		senseStream:   src.NewStream(name + "/sense"),
 		persistStream: src.NewStream(name + "/persist"),
 		reflStream:    src.NewStream(name + "/reflect"),
@@ -112,14 +117,6 @@ func NewAgent(id int, cfg AgentConfig, src *rng.Source, clock *simclock.Clock, t
 	return a
 }
 
-// name renders the agent's trace identity.
-func (a *Agent) name() string {
-	if a.ID == CentralAgent {
-		return "central"
-	}
-	return fmt.Sprintf("agent%d", a.ID)
-}
-
 // Sense runs the perception backend over the domain observation: charges
 // inference latency and drops entity records the detector missed.
 func (a *Agent) Sense(d Domain, step int) Observation {
@@ -130,7 +127,7 @@ func (a *Agent) Sense(d Domain, step int) Observation {
 	b := a.Cfg.Sensing
 	lat := a.chargeOverlapped(b.Latency(obs.Entities))
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Sensing, Kind: b.Name, Latency: lat,
+		Step: step, Agent: a.name, Module: trace.Sensing, Kind: b.Name, Latency: lat,
 	})
 	if b.MissProb <= 0 {
 		return obs
@@ -157,7 +154,7 @@ func (a *Agent) Retrieve(step int) memory.Retrieval {
 	ret := a.Store.Retrieve(step)
 	lat := a.chargeOverlapped(ret.Latency)
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Memory, Kind: "retrieve", Latency: lat,
+		Step: step, Agent: a.name, Module: trace.Memory, Kind: "retrieve", Latency: lat,
 	})
 	return ret
 }
@@ -185,13 +182,11 @@ func (a *Agent) chargeOverlapped(lat time.Duration) time.Duration {
 
 // beliefRecords merges retrieved memory with the live observation (and any
 // extra records such as freshly received messages). With memory disabled
-// the agent still perceives the present.
-func beliefRecords(ret memory.Retrieval, obs Observation, extra []memory.Record) []memory.Record {
-	recs := make([]memory.Record, 0, len(ret.Records)+len(obs.Records)+len(extra))
-	recs = append(recs, ret.Records...)
-	recs = append(recs, obs.Records...)
-	recs = append(recs, extra...)
-	return recs
+// the agent still perceives the present. The result lives in a buffer the
+// agent reuses on its next call; BuildBelief reads it and keeps none of it.
+func (a *Agent) beliefRecords(ret memory.Retrieval, obs Observation, extra []memory.Record) []memory.Record {
+	a.belief = append(append(append(a.belief[:0], ret.Records...), obs.Records...), extra...)
+	return a.belief
 }
 
 // splitTokens separates retrieved records into memory vs dialogue prompt
@@ -220,14 +215,14 @@ type PlanResult struct {
 // through the simulated LLM, apply the no-reflection persistence loop and
 // the multi-step-execution cooldown.
 func (a *Agent) Plan(d Domain, step int, ret memory.Retrieval, obs Observation, extra []memory.Record) PlanResult {
-	belief := d.BuildBelief(a.ID, beliefRecords(ret, obs, extra))
+	belief := d.BuildBelief(a.ID, a.beliefRecords(ret, obs, extra))
 	proposal := d.Propose(a.ID, belief)
 	return a.decide(step, belief, proposal, ret, obs)
 }
 
 // PlanJoint is Plan for a centralized planner over a CentralDomain.
 func (a *Agent) PlanJoint(d CentralDomain, step int, ret memory.Retrieval, obs Observation, extra []memory.Record) PlanResult {
-	belief := d.BuildBelief(a.ID, beliefRecords(ret, obs, extra))
+	belief := d.BuildBelief(a.ID, a.beliefRecords(ret, obs, extra))
 	proposal := d.ProposeJoint(belief)
 	return a.decide(step, belief, proposal, ret, obs)
 }
@@ -267,7 +262,7 @@ type PlanPrep struct {
 // complete the module with FinishPlan/FinishActSelect. Plan is the
 // single-call composition of the three.
 func (a *Agent) PreparePlan(d Domain, step int, ret memory.Retrieval, obs Observation, extra []memory.Record) PlanPrep {
-	belief := d.BuildBelief(a.ID, beliefRecords(ret, obs, extra))
+	belief := d.BuildBelief(a.ID, a.beliefRecords(ret, obs, extra))
 	proposal := d.Propose(a.ID, belief)
 	return a.preparePlan(step, belief, proposal, ret, obs)
 }
@@ -302,7 +297,7 @@ func (a *Agent) preparePlan(step int, belief Belief, proposal Proposal, ret memo
 	}
 	return PlanPrep{
 		Req: llm.Request{
-			Agent: a.name(), Module: trace.Planning, Step: step, Kind: "plan",
+			Agent: a.name, Module: trace.Planning, Step: step, Kind: "plan",
 			Prompt: p, OutTokens: outTokens,
 			Good: proposal.Good, Corruptions: anySlice(proposal.Corruptions),
 			Complexity: proposal.Complexity, Staleness: belief.Staleness,
@@ -351,7 +346,7 @@ func (a *Agent) FinishPlan(prep PlanPrep, resp llm.Response) (res PlanResult, se
 	// a concrete action and can itself pick wrong.
 	if a.Cfg.ActSelect && res.Subgoal != nil {
 		selReq = llm.Request{
-			Agent: a.name(), Module: trace.Execution, Step: prep.step, Kind: "act-select",
+			Agent: a.name, Module: trace.Execution, Step: prep.step, Kind: "act-select",
 			Prompt:    planning.Build(planning.Context{SystemTokens: 120, TaskTokens: 40, ObsTokens: prep.obsTokens}),
 			OutTokens: planning.ActSelectOutTokens,
 			Good:      res.Subgoal, Corruptions: anySlice(prep.proposal.Corruptions),
@@ -401,7 +396,7 @@ func (a *Agent) Execute(d Domain, step int, pr PlanResult) execution.Result {
 		ok := true
 		for i := 0; i < primitiveCalls; i++ {
 			resp := a.planClient.Complete(llm.Request{
-				Agent: a.name(), Module: trace.Execution, Step: step, Kind: "primitive",
+				Agent: a.name, Module: trace.Execution, Step: step, Kind: "primitive",
 				Prompt:    planning.Build(planning.Context{SystemTokens: 160, TaskTokens: 40, ObsTokens: 120}),
 				OutTokens: planning.PrimitiveOutTokens,
 				Good:      pr.Subgoal, Corruptions: anySlice(pr.Proposal.Corruptions),
@@ -420,7 +415,7 @@ func (a *Agent) Execute(d Domain, step int, pr PlanResult) execution.Result {
 	lat := execution.Latency(res.Effort)
 	a.clock.Advance(lat)
 	a.tracer.Record(trace.Event{
-		Step: step, Agent: a.name(), Module: trace.Execution, Kind: "ground", Latency: lat,
+		Step: step, Agent: a.name, Module: trace.Execution, Kind: "ground", Latency: lat,
 		Note: res.Note,
 	})
 	return res
@@ -441,7 +436,7 @@ func (a *Agent) Reflect(d Domain, step int, pr PlanResult, res execution.Result)
 		return
 	}
 	resp := a.reflClient.Complete(llm.Request{
-		Agent: a.name(), Module: trace.Reflection, Step: step, Kind: "reflect",
+		Agent: a.name, Module: trace.Reflection, Step: step, Kind: "reflect",
 		Prompt:    planning.Build(planning.Context{SystemTokens: 140, TaskTokens: 40, ObsTokens: 110}),
 		OutTokens: planning.ReflectOutTokens,
 		Good:      true,
@@ -489,7 +484,7 @@ func (a *Agent) ComposeMessage(step int, obs Observation, dialogueTokens int) (c
 	a.lastShared = step
 	tokens := comms.MessageTokens(share)
 	resp := a.commClient.Complete(llm.Request{
-		Agent: a.name(), Module: trace.Comms, Step: step, Kind: "message",
+		Agent: a.name, Module: trace.Comms, Step: step, Kind: "message",
 		Prompt: planning.Build(planning.Context{
 			SystemTokens:   a.Cfg.SystemTokens,
 			TaskTokens:     a.Cfg.TaskTokens / 2,
@@ -525,7 +520,7 @@ func (a *Agent) ShouldAnnounce(sg Subgoal) bool {
 func (a *Agent) MarkMessageUseful(step int, useful bool) {
 	for i := len(a.tracer.Events) - 1; i >= 0; i-- {
 		ev := &a.tracer.Events[i]
-		if ev.Agent == a.name() && ev.Module == trace.Comms && ev.Step == step && ev.Kind == "message" {
+		if ev.Agent == a.name && ev.Module == trace.Comms && ev.Step == step && ev.Kind == "message" {
 			ev.Useful = useful
 			return
 		}
@@ -539,7 +534,7 @@ func (a *Agent) Remember(d Domain, step int, obs Observation, dialogue []memory.
 	a.Store.AddAll(dialogue)
 	if pr.Subgoal != nil {
 		a.Store.Add(memory.Record{
-			Step: step, Kind: memory.Action, Key: fmt.Sprintf("act:%d", a.ID),
+			Step: step, Kind: memory.Action, Key: a.actKey,
 			Payload: pr.Subgoal.ID(), Tokens: 10, Routine: true,
 		})
 		if cl, ok := d.(Claimer); ok && res.Achieved {

@@ -476,3 +476,29 @@ func TestMultipleChoiceReducesOutputTokens(t *testing.T) {
 		t.Fatalf("multiple choice should enlarge prompt (option list): %d vs %d", mcIn, freeIn)
 	}
 }
+
+var beliefSink []memory.Record
+
+// TestBeliefAssemblyAllocationFree: once the agent's belief buffer has
+// grown, merging retrieval, observation and extra records allocates
+// nothing, and the merge keeps their order.
+func TestBeliefAssemblyAllocationFree(t *testing.T) {
+	a, _, _ := newTestAgent(t, AgentConfig{
+		Planner: perfectPlanner(), Memory: MemoryConfig{Capacity: 8}, Execution: true,
+	})
+	for step := 0; step < 20; step++ {
+		a.Store.Add(memory.Record{Step: step, Key: fmt.Sprintf("k%d", step), Tokens: 5})
+	}
+	ret := a.Store.Retrieve(19)
+	obs := newStub().Observe(0)
+	extra := []memory.Record{{Step: 19, Kind: memory.Dialogue, Key: "msg", Tokens: 3}}
+	beliefSink = a.beliefRecords(ret, obs, extra)
+	if allocs := testing.AllocsPerRun(100, func() { beliefSink = a.beliefRecords(ret, obs, extra) }); allocs != 0 {
+		t.Fatalf("belief assembly allocates %.1f objects per call, want 0", allocs)
+	}
+	want := len(ret.Records) + len(obs.Records) + len(extra)
+	if len(beliefSink) != want || beliefSink[0].Key != ret.Records[0].Key ||
+		beliefSink[len(ret.Records)].Key != "progress" || beliefSink[want-1].Key != "msg" {
+		t.Fatalf("belief records out of order: %+v", beliefSink)
+	}
+}

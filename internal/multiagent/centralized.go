@@ -42,13 +42,16 @@ func RunCentralized(d core.CentralDomain, cfg core.AgentConfig, opt Options) Out
 		}
 	}
 
+	// merged reuses its record buffer across steps: the central store
+	// copies the records in, and the joint plan only reads them.
+	var merged core.Observation
 	for !d.Done() {
 		step := d.Step()
 
 		// Body sensing; local views stream to the central memory (cheap
 		// telemetry, not LLM dialogue).
 		set.beginPhase()
-		var merged core.Observation
+		merged = core.Observation{Records: merged.Records[:0]}
 		for _, a := range set.agents {
 			o := a.Sense(d, step)
 			merged.Records = append(merged.Records, o.Records...)
