@@ -18,6 +18,16 @@
 // append-only JSONL so PRs accumulate a comparable series; commit it to
 // keep the series across machines, or let CI keep an ephemeral one per
 // run.
+//
+// With -gobench instead of -in, perftrack reads repeated Go benchmark
+// samples and records each benchmark's median and quartiles of ns/op, B/op
+// and allocs/op:
+//
+//	go test -run '^$' -bench 'Fig7RegenSequential$' -benchtime 3x -count 5 -benchmem ./internal/bench > fig7.txt
+//	perftrack -gobench fig7.txt -history PERF_TRAJECTORY.jsonl -label "$GITHUB_SHA" -fail-on-regress
+//
+// A benchmark whose median B/op exceeds the median of its most recent
+// prior record by more than 1.25x is flagged as a regression.
 package main
 
 import (
@@ -35,7 +45,8 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "bench JSON written by embench -bench-json (required)")
+		in      = flag.String("in", "", "bench JSON written by embench -bench-json (this or -gobench is required)")
+		gobench = flag.String("gobench", "", "output of go test -bench -count=N -benchmem to summarize instead of -in")
 		history = flag.String("history", "PERF_TRAJECTORY.jsonl", "append-only JSONL trajectory file")
 		label   = flag.String("label", "local", "record label (commit SHA, PR number, ...)")
 		ratio   = flag.Float64("warn-ratio", 1.5, "warn when wall time exceeds the baseline by this factor")
@@ -43,25 +54,54 @@ func main() {
 		fail    = flag.Bool("fail-on-regress", false, "exit 1 when a regression is flagged")
 	)
 	flag.Parse()
-	if *in == "" {
+	if (*in == "") == (*gobench == "") {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	data, err := os.ReadFile(*in)
+	warnStaleLabel(*history, *label)
+	rec := benchjson.Record{Label: *label, Env: hostEnv()}
+	var regressed bool
+	if *gobench != "" {
+		rec.Benches, regressed = trackGoBench(*gobench, *history)
+	} else {
+		rec.Entries, regressed = trackWallTimes(*in, *history, *ratio, *window)
+	}
+
+	f, err := os.OpenFile(*history, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		fatal(err)
+	}
+	defer f.Close()
+	line, err := json.Marshal(rec)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("perftrack: appended %q to %s\n", *label, *history)
+
+	if regressed && *fail {
+		os.Exit(1)
+	}
+}
+
+// trackWallTimes reads an embench -bench-json file and compares every
+// experiment's wall time with its baseline in the history.
+func trackWallTimes(in, history string, ratio float64, window int) ([]benchjson.Entry, bool) {
+	data, err := os.ReadFile(in)
 	if err != nil {
 		fatal(err)
 	}
 	var bf benchjson.File
 	if err := json.Unmarshal(data, &bf); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *in, err))
+		fatal(fmt.Errorf("parse %s: %w", in, err))
 	}
 	if len(bf.Entries) == 0 {
-		fatal(fmt.Errorf("%s carries no experiment entries", *in))
+		fatal(fmt.Errorf("%s carries no experiment entries", in))
 	}
-
-	warnStaleLabel(*history, *label)
-	prev := baselineWallTimes(*history, *window)
+	prev := baselineWallTimes(history, window)
 	regressed := false
 	for _, e := range bf.Entries {
 		// Wall times are only comparable between identical run
@@ -74,31 +114,58 @@ func main() {
 		}
 		r := e.WallMS / p
 		mark := ""
-		if r > *ratio {
+		if r > ratio {
 			mark = "  << REGRESSION"
 			regressed = true
 		}
 		fmt.Printf("perftrack: %-10s %8.0f ms (baseline %.0f ms over last %d, x%.2f)%s\n",
-			e.Experiment, e.WallMS, p, *window, r, mark)
+			e.Experiment, e.WallMS, p, window, r, mark)
 	}
+	return bf.Entries, regressed
+}
 
-	f, err := os.OpenFile(*history, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+// bytesRatio is how far a benchmark's median B/op may exceed the median
+// of its most recent prior record before -gobench flags a regression.
+const bytesRatio = 1.25
+
+// trackGoBench summarizes repeated Go benchmark samples and holds each
+// benchmark's median B/op to the median in its most recent prior record.
+// Bytes allocated per op barely move between runs or hosts, so unlike
+// wall time one recorded median is a baseline a gate can trust.
+func trackGoBench(in, history string) ([]benchjson.GoBench, bool) {
+	f, err := os.Open(in)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	line, err := json.Marshal(benchjson.Record{Label: *label, Env: hostEnv(), Entries: bf.Entries})
+	benches, err := benchjson.ParseGoBench(f)
 	if err != nil {
-		fatal(err)
+		fatal(fmt.Errorf("parse %s: %w", in, err))
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		fatal(err)
+	if len(benches) == 0 {
+		fatal(fmt.Errorf("%s carries no benchmark results", in))
 	}
-	fmt.Printf("perftrack: appended %q to %s\n", *label, *history)
-
-	if regressed && *fail {
-		os.Exit(1)
+	prev := lastGoBenches(history)
+	regressed := false
+	for _, b := range benches {
+		fmt.Printf("perftrack: %s n=%d  ns/op %.4g [%.4g, %.4g]  B/op %.4g [%.4g, %.4g]  allocs/op %.4g [%.4g, %.4g]\n",
+			b.Name, b.Samples, b.NsOp.Median, b.NsOp.Q1, b.NsOp.Q3,
+			b.BytesOp.Median, b.BytesOp.Q1, b.BytesOp.Q3, b.Allocs.Median, b.Allocs.Q1, b.Allocs.Q3)
+		p, ok := prev[b.Key()]
+		if !ok || p.BytesOp.Median <= 0 {
+			fmt.Printf("perftrack: %s (no prior record)\n", b.Name)
+			continue
+		}
+		r := b.BytesOp.Median / p.BytesOp.Median
+		mark := ""
+		if r > bytesRatio {
+			mark = "  << REGRESSION"
+			regressed = true
+		}
+		fmt.Printf("perftrack: %s B/op x%.3f against the recorded median %.4g (limit x%.2f)%s\n",
+			b.Name, r, p.BytesOp.Median, bytesRatio, mark)
 	}
+	return benches, regressed
 }
 
 // warnStaleLabel flags a record label that does not advance the
@@ -209,6 +276,29 @@ func baselineWallTimes(path string, window int) map[string]float64 {
 			}
 		}
 		out[k] = best
+	}
+	return out
+}
+
+// lastGoBenches reports, per benchmark key, the benchmark as summarized
+// in the most recent history record that holds it.
+func lastGoBenches(path string) map[string]benchjson.GoBench {
+	out := map[string]benchjson.GoBench{}
+	f, err := os.Open(path)
+	if err != nil {
+		return out
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var r benchjson.Record
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			continue
+		}
+		for _, b := range r.Benches {
+			out[b.Key()] = b
+		}
 	}
 	return out
 }

@@ -58,8 +58,12 @@ type Env struct {
 
 // Record is one appended perf-trajectory line (JSONL). Env is absent on
 // lines written before environment stamping existed; those still parse.
+// A record carries either experiment wall times (Entries, from
+// embench -bench-json) or repeated Go benchmark samples (Benches, from
+// go test -bench -count=N -benchmem).
 type Record struct {
-	Label   string  `json:"label"`
-	Env     Env     `json:"env"`
-	Entries []Entry `json:"entries"`
+	Label   string    `json:"label"`
+	Env     Env       `json:"env"`
+	Entries []Entry   `json:"entries,omitempty"`
+	Benches []GoBench `json:"benches,omitempty"`
 }
