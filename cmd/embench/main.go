@@ -16,6 +16,7 @@
 //	embench -replay-trace t.jsonl -serve-replicas 2 -serve-faults on -serve-deadline 40s -serve-retry on  # ... resiliently
 //	embench -exp fig14                                    # fault injection x resilience-policy sweep
 //	embench -list                                         # list workloads/experiments
+//	embench -exp fig7 -cpuprofile cpu.prof -memprofile mem.prof  # profile the simulator itself
 //
 // Experiments fan episodes out over -procs workers (default: all CPUs).
 // Episode seeds are derived deterministically from -seed, so reports are
@@ -46,6 +47,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -137,7 +140,11 @@ func main() {
 			"disaggregated serving: prefill→decode KV-transfer cost, 'lat=40ms,rate=200000' (''/'off' = free)")
 		srvPipeline = flag.Bool("serve-pipeline", false,
 			"async agent pipeline: overlap each step's sensing/retrieval with the previous plan call's decode window")
-		list = flag.Bool("list", false, "list workloads and experiments")
+		list       = flag.Bool("list", false, "list workloads and experiments")
+		cpuProfile = flag.String("cpuprofile", "",
+			"write a CPU profile of the embench process (host time, not simulated time) to this path")
+		memProfile = flag.String("memprofile", "",
+			"write the embench process's allocation profile to this path when the command finishes")
 	)
 	flag.Parse()
 
@@ -152,6 +159,16 @@ func main() {
 	retry := parseSpecFlag("serve-retry", embench.ParseRetry, *srvRetry)
 	hedge := parseSpecFlag("serve-hedge", embench.ParseHedge, *srvHedge)
 	shed := parseSpecFlag("serve-shed", embench.ParseShed, *srvShed)
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	switch {
 	case *list:
@@ -555,6 +572,47 @@ func writeTraces(rec *obs.Recorder, jsonlPath, chromePath string) error {
 		}
 	}
 	return nil
+}
+
+// startProfiles starts the harness-side profiles of the embench process
+// itself: a CPU profile from now until stop, and an allocation profile
+// that stop writes. They measure the simulator on the host, never the
+// simulated clock. An empty path turns that profile off.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		runtime.GC() // the profile reports allocations as of the last GC
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // writeBenchJSON persists the perf record with a trailing newline so the

@@ -91,3 +91,24 @@ func TestCLIErrorSurface(t *testing.T) {
 		})
 	}
 }
+
+// TestCLIProfiles: -cpuprofile and -memprofile each write a non-empty
+// profile of the embench process.
+func TestCLIProfiles(t *testing.T) {
+	bin := buildBinary(t)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	cmd := exec.Command(bin, "-exp", "fig2", "-episodes", "1", "-cpuprofile", cpu, "-memprofile", mem)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("embench: %v\n%s", err, out)
+	}
+	for _, path := range []string{cpu, mem} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() == 0 {
+			t.Errorf("%s is empty", path)
+		}
+	}
+}
