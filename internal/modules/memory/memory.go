@@ -212,7 +212,6 @@ func (s *Store) Since(step int) []Record {
 // Clear resets the store for a new episode.
 func (s *Store) Clear() {
 	s.records = s.records[:0]
-	s.window = s.window[:0]
 	s.latest = make(map[string]int)
 }
 
@@ -296,5 +295,4 @@ func (d *Dual) Retrieve(currentStep int) Retrieval {
 func (d *Dual) Clear() {
 	d.Long.Clear()
 	d.Short.Clear()
-	d.merged = d.merged[:0]
 }
