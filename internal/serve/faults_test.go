@@ -252,3 +252,36 @@ func TestThroughputCountsServedOnly(t *testing.T) {
 			got, want, served, len(reqs), res.Makespan)
 	}
 }
+
+// TestRetryTimesStayRepresentable: a retry budget in the hundreds against
+// replicas that are almost always down would spend hundreds of saturated
+// backoffs, whose sum is past time.Duration's range. Retries stop at
+// maxRetrySpan after arrival instead of wrapping negative, so every
+// resolution comes after its arrival, within the span plus one deadline,
+// and the makespan and downtime stay non-negative.
+func TestRetryTimesStayRepresentable(t *testing.T) {
+	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 2, Horizon: time.Hour, Rate: 1.0 / 60, Seed: 1})[:20]
+	for i := range reqs {
+		reqs[i].Deadline = 40 * time.Second
+	}
+	res := Replay(Config{
+		Replicas: 2, MaxBatch: 4, MaxWait: time.Second,
+		Faults: Faults{MTBF: time.Second, MTTR: 10000 * time.Hour},
+		Retry:  RetryPolicy{Max: 300, Base: 500 * time.Millisecond, Factor: 2, Jitter: 0.2},
+	}, reqs)
+	for i, c := range res.Completions {
+		if c.Done < c.Arrival {
+			t.Errorf("request %d (%s): Done %v before Arrival %v", i, c.Outcome, c.Done, c.Arrival)
+		}
+		if c.Done-c.Arrival > maxRetrySpan+reqs[i].Deadline {
+			t.Errorf("request %d: resolved %v after arrival, past the retry span", i, c.Done-c.Arrival)
+		}
+	}
+	if res.Makespan < 0 || res.Stats.ReplicaDowntime < 0 {
+		t.Errorf("Makespan = %v, ReplicaDowntime = %v, want both >= 0", res.Makespan, res.Stats.ReplicaDowntime)
+	}
+	s := res.Stats
+	if s.Requests+s.ShedRequests+s.TimedOut != len(reqs) {
+		t.Errorf("served %d + shed %d + timed out %d != offered %d", s.Requests, s.ShedRequests, s.TimedOut, len(reqs))
+	}
+}
