@@ -154,8 +154,16 @@ func (l *replayLoop) addTimer(tm rTimer) {
 	l.timers = slices.Insert(l.timers, i, tm)
 }
 
+// maxRetrySpan bounds how long a client keeps retrying: a retry that would
+// re-enter admission later than maxRetrySpan after the request's arrival is
+// not issued, and the request resolves timed-out instead. Each backoff
+// saturates at maxSpecDuration, but a budget of hundreds of saturated
+// backoffs would otherwise carry re-entry times past time.Duration's range.
+const maxRetrySpan = maxSpecDuration
+
 // attemptLost handles a request losing its last live attempt at te:
-// schedule a retry while budget remains, otherwise resolve timed-out.
+// schedule a retry while budget (and maxRetrySpan) remains, otherwise
+// resolve timed-out.
 func (l *replayLoop) attemptLost(req int, te time.Duration) {
 	e := l.e
 	st := &l.states[req]
@@ -163,8 +171,6 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 		return
 	}
 	if e.cfg.Retry.enabled() && int(st.retries) < e.cfg.Retry.Max {
-		st.retries++
-		e.stats.Retries++
 		if l.jitter == nil {
 			l.jitter = make([]*rng.Stream, len(l.reqs))
 		}
@@ -175,9 +181,13 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 			// attempts ran.
 			l.jitter[req] = rng.New(e.cfg.Faults.Seed).Sub("serve/retry").NewStream(fmt.Sprintf("req-%d", req))
 		}
-		back := e.cfg.Retry.backoff(int(st.retries)-1, l.jitter[req])
-		l.addTimer(rTimer{at: te + back, req: req, wave: st.retries, dur: back})
-		return
+		back := e.cfg.Retry.backoff(int(st.retries), l.jitter[req])
+		if back <= maxRetrySpan-(te-l.reqs[req].Arrival) {
+			st.retries++
+			e.stats.Retries++
+			l.addTimer(rTimer{at: te + back, req: req, wave: st.retries, dur: back})
+			return
+		}
 	}
 	e.stats.TimedOut++
 	l.resolveUnserved(req, te, OutcomeTimedOut)
@@ -199,6 +209,9 @@ func (l *replayLoop) timeOutAttempt(ai int, te time.Duration) {
 func (l *replayLoop) expiry(ai int) time.Duration {
 	a := &l.attempts[ai]
 	if d := l.reqs[a.req].Deadline; d > 0 {
+		if a.arrival > never-d {
+			return never // saturate: an unrepresentable expiry never comes
+		}
 		return a.arrival + d
 	}
 	return never
