@@ -212,11 +212,21 @@ type Sink interface {
 	Event(ev Event)
 }
 
+// recorderChunk is the number of events one Recorder storage chunk holds.
+const recorderChunk = 256
+
 // Recorder is the standard in-memory Sink: it assigns arrival Seq numbers
 // and keeps every event. Safe for concurrent use.
+//
+// Events live in fixed-size chunks of recorderChunk events, so recording
+// is O(1) amortized per event and never copies an already stored event:
+// only the small chunk index regrows. Events returns one contiguous copy of
+// exact length. Reset keeps the chunks, so a reset recorder records its next
+// stream without allocating until it outgrows the previous one.
 type Recorder struct {
 	mu     sync.Mutex
-	events []Event
+	chunks []*[recorderChunk]Event
+	n      int // events recorded; the next event's Seq
 }
 
 // NewRecorder returns an empty recorder.
@@ -225,8 +235,13 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // Event implements Sink.
 func (r *Recorder) Event(ev Event) {
 	r.mu.Lock()
-	ev.Seq = int64(len(r.events))
-	r.events = append(r.events, ev)
+	c := r.n / recorderChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, new([recorderChunk]Event))
+	}
+	ev.Seq = int64(r.n)
+	r.chunks[c][r.n%recorderChunk] = ev
+	r.n++
 	r.mu.Unlock()
 }
 
@@ -235,19 +250,26 @@ func (r *Recorder) Event(ev Event) {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	out := make([]Event, 0, r.n)
+	for _, c := range r.chunks {
+		if len(out) == r.n {
+			break
+		}
+		out = append(out, c[:min(recorderChunk, r.n-len(out))]...)
+	}
+	return out
 }
 
 // Len reports the number of recorded events.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
-// Reset discards all recorded events.
+// Reset discards all recorded events, keeping the chunks for reuse.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.events = r.events[:0]
+	r.n = 0
 	r.mu.Unlock()
 }
