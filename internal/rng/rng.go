@@ -9,9 +9,8 @@
 package rng
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 )
 
 // Source derives independent sub-streams from a root seed.
@@ -28,17 +27,29 @@ func (s *Source) Seed() uint64 { return s.seed }
 // Stream returns a deterministic *rand.Rand for the given name. Repeated
 // calls with the same name return fresh generators with identical sequences.
 func (s *Source) Stream(name string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", s.seed, name)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return rand.New(rand.NewSource(int64(s.derive(name))))
 }
 
 // Sub returns a derived Source, useful for giving each episode its own
 // namespace: rng.New(7).Sub("episode-3").Stream("planner").
 func (s *Source) Sub(name string) *Source {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d/%s", s.seed, name)
-	return &Source{seed: h.Sum64()}
+	return &Source{seed: s.derive(name)}
+}
+
+// derive hashes "<seed>/<name>" with 64-bit FNV-1a: the seed of the stream
+// or sub-source called name.
+func (s *Source) derive(name string) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	var buf [20]byte
+	h := uint64(offset)
+	for _, c := range strconv.AppendUint(buf[:0], s.seed, 10) {
+		h = (h ^ uint64(c)) * prime
+	}
+	h = (h ^ '/') * prime
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * prime
+	}
+	return h
 }
 
 // Stream wraps *rand.Rand with the helpers the suite uses.
@@ -49,6 +60,13 @@ type Stream struct {
 // NewStream returns a helper-wrapped stream for the given name.
 func (s *Source) NewStream(name string) *Stream {
 	return &Stream{Rand: s.Stream(name)}
+}
+
+// Reseed re-seeds st in place so it draws exactly the sequence
+// NewStream(name) would: a caller that is done with one named stream can
+// reuse its generator for another instead of allocating a fresh one.
+func (s *Source) Reseed(st *Stream, name string) {
+	st.Seed(int64(s.derive(name)))
 }
 
 // Bernoulli reports true with probability p (clamped to [0,1]).

@@ -1,6 +1,9 @@
 package rng
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +107,58 @@ func TestJitterBounds(t *testing.T) {
 		v := st.Jitter(100, 0.2)
 		if v < 80 || v > 120 {
 			t.Fatalf("Jitter out of bounds: %v", v)
+		}
+	}
+}
+
+// TestDeriveMatchesFNV pins the stream and sub-source seeds to 64-bit
+// FNV-1a of "<seed>/<name>", so every seeded sequence in the suite stays
+// what it was.
+func TestDeriveMatchesFNV(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1<<64 - 1} {
+		for _, name := range []string{"", "planner", "serve/retry", "req-17", "é/ü"} {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%d/%s", seed, name)
+			want := h.Sum64()
+			if got := New(seed).derive(name); got != want {
+				t.Fatalf("derive(%d, %q) = %#x, want %#x", seed, name, got, want)
+			}
+			if got := New(seed).Sub(name).Seed(); got != want {
+				t.Fatalf("Sub(%q) of %d has seed %#x, want %#x", name, seed, got, want)
+			}
+			a, b := New(seed).Stream(name), rand.New(rand.NewSource(int64(want)))
+			for i := 0; i < 8; i++ {
+				if a.Int63() != b.Int63() {
+					t.Fatalf("Stream(%q) of %d diverges at draw %d", name, seed, i)
+				}
+			}
+		}
+	}
+}
+
+// TestReseedMatchesNewStream: a used stream re-seeded to a name draws the
+// same sequence as a fresh NewStream of that name.
+func TestReseedMatchesNewStream(t *testing.T) {
+	src := New(9).Sub("serve/retry")
+	st := src.NewStream("req-3")
+	for i := 0; i < 37; i++ {
+		st.Float64()
+	}
+	st.Intn(1000)
+	src.Reseed(st, "req-11")
+	fresh := src.NewStream("req-11")
+	for i := 0; i < 100; i++ {
+		var got, want float64
+		switch i % 3 {
+		case 0:
+			got, want = st.Float64(), fresh.Float64()
+		case 1:
+			got, want = float64(st.Intn(1000)), float64(fresh.Intn(1000))
+		default:
+			got, want = st.NormFloat64(), fresh.NormFloat64()
+		}
+		if got != want {
+			t.Fatalf("draw %d: re-seeded stream gave %v, fresh stream %v", i, got, want)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"embench/internal/rng"
 	"embench/internal/serve/obs"
 )
 
@@ -283,5 +285,51 @@ func TestRetryTimesStayRepresentable(t *testing.T) {
 	s := res.Stats
 	if s.Requests+s.ShedRequests+s.TimedOut != len(reqs) {
 		t.Errorf("served %d + shed %d + timed out %d != offered %d", s.Requests, s.ShedRequests, s.TimedOut, len(reqs))
+	}
+}
+
+// TestRetryJitterMatchesFreshStreams is the differential test of pooled
+// retry jitter: the replay re-seeds a resolved request's stream for the
+// next retried request, and every recorded backoff must still equal the
+// one a fresh per-request stream prices.
+func TestRetryJitterMatchesFreshStreams(t *testing.T) {
+	cfg := faultedCfg()
+	cfg.Retry.Max = 5
+	reqs := faultedTrace()
+	rec := obs.NewRecorder()
+	res := ReplayObserved(cfg, reqs, rec)
+	policy := New(cfg).Config().Retry
+	src := rng.New(cfg.Faults.Seed).Sub("serve/retry")
+	fresh := map[int64]*rng.Stream{}
+	firstRetry := map[int64]time.Duration{}
+	retries := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind != obs.KindRetry {
+			continue
+		}
+		retries++
+		st := fresh[ev.Req]
+		if st == nil {
+			st = src.NewStream(fmt.Sprintf("req-%d", ev.Req-1))
+			fresh[ev.Req] = st
+			firstRetry[ev.Req] = ev.T - ev.Dur
+		}
+		if want := policy.backoff(ev.Batch-1, st); ev.Dur != want {
+			t.Fatalf("request %d retry %d: backoff %v, fresh stream prices %v", ev.Req, ev.Batch, ev.Dur, want)
+		}
+	}
+	// Reuse happened only if some request first retried after another
+	// retried request had already resolved and released its stream.
+	reused := false
+	for a, ta := range firstRetry {
+		for b := range firstRetry {
+			if a != b && res.Completions[b-1].Done < ta {
+				reused = true
+			}
+		}
+	}
+	if retries == 0 || res.Stats.HedgesIssued == 0 || !reused {
+		t.Fatalf("trace did not exercise stream reuse: %d retries over %d requests, %d hedges, reused=%v",
+			retries, len(fresh), res.Stats.HedgesIssued, reused)
 	}
 }

@@ -124,7 +124,13 @@ type replayLoop struct {
 	inflight []int         // attempt ids whose batch is running
 	doneAt   time.Duration // earliest batch end in inflight; never when empty
 	timers   []rTimer      // sorted by time, then insertion
-	jitter   []*rng.Stream // per-request backoff jitter, built lazily
+
+	// Retry jitter (resilience.go): the serve/retry source, each retried
+	// request's stream while it is unresolved, and the streams of resolved
+	// requests, kept for reuse.
+	retrySrc   *rng.Source
+	jitter     []*rng.Stream
+	freeJitter []*rng.Stream
 
 	now      time.Duration
 	resolved int // requests served, shed or timed out
@@ -159,6 +165,11 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		attempts: make([]rAttempt, 0, len(reqs)),
 		doneAt:   never,
 		expireAt: never,
+	}
+	if e.cfg.Retry.enabled() {
+		// Retry jitter shares the fault seed's root (zero is a valid seed).
+		l.retrySrc = rng.New(e.cfg.Faults.Seed).Sub("serve/retry")
+		l.jitter = make([]*rng.Stream, len(reqs))
 	}
 	// Hash every request's prefix chain once, under the endpoint's cache
 	// identity; routing probes and batch admissions reuse the memoized keys.
@@ -274,6 +285,7 @@ func (l *replayLoop) resolveServed(ai int) {
 	}
 	st.done = true
 	l.resolved++
+	l.releaseJitter(a.req)
 	if a.hedge {
 		e.stats.HedgeWins++
 	}

@@ -109,6 +109,7 @@ func (l *replayLoop) resolveUnserved(req int, t time.Duration, out Outcome) {
 	st := &l.states[req]
 	st.done = true
 	l.resolved++
+	l.releaseJitter(req)
 	rq := l.reqs[req]
 	l.res.Completions[req] = Completion{
 		Agent: rq.Agent, Arrival: rq.Arrival, Done: t,
@@ -171,15 +172,8 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 		return
 	}
 	if e.cfg.Retry.enabled() && int(st.retries) < e.cfg.Retry.Max {
-		if l.jitter == nil {
-			l.jitter = make([]*rng.Stream, len(l.reqs))
-		}
 		if l.jitter[req] == nil {
-			// Retry jitter shares the fault seed's root (zero is a valid
-			// seed): the stream is per request INDEX, so a request's backoff
-			// schedule is independent of when — or on which replica — its
-			// attempts ran.
-			l.jitter[req] = rng.New(e.cfg.Faults.Seed).Sub("serve/retry").NewStream(fmt.Sprintf("req-%d", req))
+			l.jitter[req] = l.retryStream(req)
 		}
 		back := e.cfg.Retry.backoff(int(st.retries), l.jitter[req])
 		if back <= maxRetrySpan-(te-l.reqs[req].Arrival) {
@@ -191,6 +185,31 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 	}
 	e.stats.TimedOut++
 	l.resolveUnserved(req, te, OutcomeTimedOut)
+}
+
+// retryStream returns request req's backoff jitter stream. The stream is
+// per request INDEX, so a request's backoff schedule is independent of
+// when — or on which replica — its attempts ran. A resolved request's
+// stream is re-seeded for the next one rather than allocated afresh.
+func (l *replayLoop) retryStream(req int) *rng.Stream {
+	name := fmt.Sprintf("req-%d", req)
+	n := len(l.freeJitter)
+	if n == 0 {
+		return l.retrySrc.NewStream(name)
+	}
+	st := l.freeJitter[n-1]
+	l.freeJitter = l.freeJitter[:n-1]
+	l.retrySrc.Reseed(st, name)
+	return st
+}
+
+// releaseJitter returns resolved request req's jitter stream, if it drew
+// one, to the free list.
+func (l *replayLoop) releaseJitter(req int) {
+	if l.jitter != nil && l.jitter[req] != nil {
+		l.freeJitter = append(l.freeJitter, l.jitter[req])
+		l.jitter[req] = nil
+	}
 }
 
 // timeOutAttempt expires one attempt (already removed from the queue) at
