@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"embench/internal/llm"
 	"embench/internal/rng"
 	"embench/internal/serve/obs"
 )
@@ -332,4 +333,42 @@ func TestRetryJitterMatchesFreshStreams(t *testing.T) {
 		t.Fatalf("trace did not exercise stream reuse: %d retries over %d requests, %d hedges, reused=%v",
 			retries, len(fresh), res.Stats.HedgesIssued, reused)
 	}
+}
+
+// BenchmarkReplayObservedFaults is fig14's faulted cell (3 minute MTBF
+// with stragglers, retry+hedge+shed, 40 s deadlines, 24 bursty tenants
+// over 30 minutes on the 2-8 replica autoscaled deployment) replayed into
+// a fresh flight recorder per op: the resilient event loop plus recorder
+// writes.
+func BenchmarkReplayObservedFaults(b *testing.B) {
+	cfg := Config{
+		Profile: llm.GPT4, Replicas: 8,
+		MaxBatch: 4, MaxWait: 500 * time.Millisecond,
+		CacheEntries: 512, CacheTokens: 8192, Identity: IdentityContent,
+		Autoscale: Autoscale{
+			Interval: 15 * time.Second, ColdStart: 10 * time.Second,
+			UpUtil: 0.5, DownUtil: 0.25, Min: 2, Max: 8,
+		},
+		Faults: Faults{
+			MTBF: 3 * time.Minute, MTTR: 60 * time.Second,
+			StragglerEvery: 90 * time.Second, StragglerFor: 20 * time.Second,
+			StragglerFactor: 6, Seed: 1,
+		},
+		Retry: RetryPolicy{Max: 2, Base: 500 * time.Millisecond, Factor: 2, Jitter: 0.2},
+		Hedge: HedgePolicy{Delay: 10 * time.Second},
+		Shed:  ShedPolicy{Wait: 35 * time.Second},
+	}
+	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 24, Horizon: 30 * time.Minute, Seed: 1})
+	for i := range reqs {
+		reqs[i].Deadline = 40 * time.Second
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	events := 0
+	for i := 0; i < b.N; i++ {
+		rec := obs.NewRecorder()
+		ReplayObserved(cfg, reqs, rec)
+		events += rec.Len()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
