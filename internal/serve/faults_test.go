@@ -287,6 +287,13 @@ func TestRetryTimesStayRepresentable(t *testing.T) {
 	if s.Requests+s.ShedRequests+s.TimedOut != len(reqs) {
 		t.Errorf("served %d + shed %d + timed out %d != offered %d", s.Requests, s.ShedRequests, s.TimedOut, len(reqs))
 	}
+	// A deadline too long to add to the arrival never expires, even for a
+	// request queued behind another.
+	queued := []Request{reqs[1], reqs[1]}
+	queued[1].Deadline = never
+	if c := Replay(Config{Profile: noJitter}, queued).Completions[1]; c.Outcome != OutcomeServed || c.Done < c.Arrival {
+		t.Errorf("deadline %v: outcome %q, Done %v, Arrival %v; want served after arrival", never, c.Outcome, c.Done, c.Arrival)
+	}
 }
 
 // TestRetryJitterMatchesFreshStreams is the differential test of pooled
