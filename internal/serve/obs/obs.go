@@ -245,17 +245,17 @@ func (r *Recorder) Event(ev Event) {
 	r.mu.Unlock()
 }
 
-// Events returns the recorded stream in arrival order. The returned slice
-// is a copy; the recorder may keep recording.
+// Events returns the recorded stream in arrival order, nil when it is
+// empty. The returned slice is a copy; the recorder may keep recording.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, r.n)
-	for _, c := range r.chunks {
-		if len(out) == r.n {
-			break
-		}
-		out = append(out, c[:min(recorderChunk, r.n-len(out))]...)
+	if r.n == 0 {
+		return nil
+	}
+	out := make([]Event, r.n)
+	for i := 0; i < r.n; i += recorderChunk {
+		copy(out[i:], r.chunks[i/recorderChunk][:])
 	}
 	return out
 }

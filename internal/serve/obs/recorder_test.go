@@ -25,7 +25,7 @@ var recorderCounts = []int{0, 1, recorderChunk - 1, recorderChunk, recorderChunk
 
 // TestRecorderChunkBoundaries records streams ending on both sides of
 // chunk boundaries: Seq runs 0..n-1, Events equals the stream an append
-// built, and Len agrees, before and after a Reset.
+// built (nil when empty), and Len agrees, before and after a Reset.
 func TestRecorderChunkBoundaries(t *testing.T) {
 	for _, n := range recorderCounts {
 		want := make([]Event, 0, n)
@@ -43,6 +43,9 @@ func TestRecorderChunkBoundaries(t *testing.T) {
 			got := r.Events()
 			if len(got) != n || cap(got) != n || r.Len() != n {
 				t.Fatalf("n=%d pass %d: len %d cap %d Len %d", n, pass, len(got), cap(got), r.Len())
+			}
+			if n == 0 && got != nil {
+				t.Fatalf("pass %d: Events of an empty recorder = %v, want nil", pass, got)
 			}
 			if n > 0 && !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d pass %d: Events differs from the appended stream", n, pass)
