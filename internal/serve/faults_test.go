@@ -379,3 +379,48 @@ func BenchmarkReplayObservedFaults(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// TestReplicaSpansSaturate drives each per-replica span accumulator past
+// time.Duration's range: ReplicaTime at an autoscale tick and at the end
+// of a run, and ReplicaDowntime at a crash. Both the running sum and the
+// replicas × span product saturate at never instead of wrapping negative.
+func TestReplicaSpansSaturate(t *testing.T) {
+	as := Autoscale{Interval: time.Hour, Min: 4, Max: 4}
+	for _, c := range []struct {
+		name        string
+		acc, anchor time.Duration // running sum and the span's start
+		end         time.Duration
+	}{
+		{"sum", never - time.Hour, 0, 2 * time.Hour},
+		{"product", 0, 0, never / 2},
+	} {
+		tick := New(Config{Replicas: 4, Autoscale: as})
+		tick.stats.ReplicaTime, tick.asLast = c.acc, c.anchor
+		tick.evalAutoscale(c.end)
+		if got := tick.stats.ReplicaTime; got != never {
+			t.Errorf("%s: ReplicaTime after a tick = %v, want saturated at %v", c.name, got, never)
+		}
+		fin := New(Config{Replicas: 4, Autoscale: as})
+		fin.stats.ReplicaTime, fin.asLast, fin.asNext = c.acc, c.anchor, never
+		fin.finishAutoscale(c.end)
+		if got := fin.stats.ReplicaTime; got != never {
+			t.Errorf("%s: ReplicaTime after finish = %v, want saturated at %v", c.name, got, never)
+		}
+	}
+	e := New(Config{Replicas: 2, Faults: Faults{MTBF: time.Second, MTTR: time.Hour}})
+	e.stats.ReplicaDowntime = never - time.Hour
+	e.crashReplica(&e.replicas[0], 0, faultWindow{start: time.Hour, end: 3 * time.Hour}, 0)
+	if got := e.stats.ReplicaDowntime; got != never {
+		t.Errorf("ReplicaDowntime after a crash = %v, want saturated at %v", got, never)
+	}
+	e.crashReplica(&e.replicas[1], 1, faultWindow{start: 0, end: time.Minute}, 0)
+	if got := e.stats.ReplicaDowntime; got != never {
+		t.Errorf("ReplicaDowntime after a second crash = %v, want it to stay at %v", got, never)
+	}
+	// In range, the sum stays exact.
+	small := New(Config{Replicas: 2, Faults: Faults{MTBF: time.Second, MTTR: time.Hour}})
+	small.crashReplica(&small.replicas[0], 0, faultWindow{start: time.Hour, end: 3 * time.Hour}, 0)
+	if got := small.stats.ReplicaDowntime; got != 2*time.Hour {
+		t.Errorf("in-range ReplicaDowntime = %v, want 2h", got)
+	}
+}
