@@ -109,7 +109,7 @@ func (e *Endpoint) maybeAutoscale(t time.Duration) {
 // the elapsed window, compute window utilization, and scale.
 func (e *Endpoint) evalAutoscale(now time.Duration) {
 	a := e.cfg.Autoscale
-	e.stats.ReplicaTime += time.Duration(e.active) * (now - e.asLast)
+	e.stats.ReplicaTime = addSpan(e.stats.ReplicaTime, replicaSpan(e.active, now-e.asLast))
 	e.asLast = now
 	// Window utilization: busy replica-time accrued since the last tick
 	// over active capacity. Batches accrue their full span at launch, so a
@@ -192,7 +192,7 @@ func (e *Endpoint) finishAutoscale(makespan time.Duration) {
 	}
 	e.maybeAutoscale(makespan)
 	if makespan > e.asLast {
-		e.stats.ReplicaTime += time.Duration(e.active) * (makespan - e.asLast)
+		e.stats.ReplicaTime = addSpan(e.stats.ReplicaTime, replicaSpan(e.active, makespan-e.asLast))
 		e.asLast = makespan
 	}
 }

@@ -257,7 +257,7 @@ func (d *disaggState) fold() metrics.Serving {
 	s.ReplicaRequests = make([]int, 0, len(pf.ReplicaRequests)+len(dc.ReplicaRequests))
 	s.ReplicaRequests = append(s.ReplicaRequests, pf.ReplicaRequests...)
 	s.ReplicaRequests = append(s.ReplicaRequests, dc.ReplicaRequests...)
-	s.ReplicaTime = pf.ReplicaTime + dc.ReplicaTime
+	s.ReplicaTime = addSpan(pf.ReplicaTime, dc.ReplicaTime)
 	s.ScaleUps = pf.ScaleUps + dc.ScaleUps
 	s.ScaleDowns = pf.ScaleDowns + dc.ScaleDowns
 	return s

@@ -337,7 +337,7 @@ func (e *Endpoint) crashReplica(r *replica, ri int, w faultWindow, killed int) {
 		r.freeAt = w.end
 	}
 	e.fx.clocks[ri].downUntil = w.end
-	e.stats.ReplicaDowntime += w.end - w.start
+	e.stats.ReplicaDowntime = addSpan(e.stats.ReplicaDowntime, w.end-w.start)
 	if killed > 0 {
 		e.stats.FailedBatches++
 	}

@@ -102,6 +102,23 @@ func Replay(cfg Config, reqs []Request) ReplayResult {
 // never is a time no event reaches.
 const never = time.Duration(1<<63 - 1)
 
+// addSpan adds a non-negative span to a non-negative running sum,
+// saturating at never instead of wrapping negative.
+func addSpan(sum, d time.Duration) time.Duration {
+	if d > never-sum {
+		return never
+	}
+	return sum + d
+}
+
+// replicaSpan is n replicas × a non-negative span d, saturating at never.
+func replicaSpan(n int, d time.Duration) time.Duration {
+	if n > 0 && d > never/time.Duration(n) {
+		return never
+	}
+	return time.Duration(n) * d
+}
+
 // replayLoop is the state of one open-loop replay. The unit of scheduling
 // is an attempt (see resilience.go): a policy-free replay has exactly one
 // attempt per request.
