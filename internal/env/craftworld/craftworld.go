@@ -140,6 +140,7 @@ func targetFor(d world.Difficulty) (Item, int) {
 type World struct {
 	cfg     Config
 	grid    *world.Grid
+	planner astar.Planner
 	nodes   []node
 	agent   world.Cell
 	inv     map[Item]int
@@ -608,7 +609,7 @@ func (w *World) execExplore(sg ExploreSector) execution.Result {
 }
 
 func (w *World) moveTo(target world.Cell) execution.Result {
-	plan := astar.Plan(w.grid, w.agent, target)
+	plan := w.planner.Plan(w.grid, w.agent, target)
 	res := execution.Result{Effort: execution.Effort{AStarExpanded: plan.Expanded}}
 	if !plan.Found {
 		res.Note = "unreachable"

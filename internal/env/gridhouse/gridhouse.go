@@ -76,6 +76,7 @@ type agentState struct {
 type House struct {
 	cfg       Config
 	grid      *world.Grid
+	planner   astar.Planner
 	goalZone  []world.Cell
 	objects   []*object
 	agents    []agentState
@@ -578,7 +579,7 @@ func (h *House) execExplore(agent int, sg Explore) execution.Result {
 // effort. Carried objects follow the agent.
 func (h *House) moveTo(agent int, target world.Cell) execution.Result {
 	a := &h.agents[agent]
-	plan := astar.Plan(h.grid, a.cell, target)
+	plan := h.planner.Plan(h.grid, a.cell, target)
 	res := execution.Result{Effort: execution.Effort{AStarExpanded: plan.Expanded}}
 	if !plan.Found {
 		res.Note = "unreachable"

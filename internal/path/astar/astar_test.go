@@ -10,7 +10,7 @@ import (
 
 func TestTrivialPath(t *testing.T) {
 	g := world.NewGrid(5, 5)
-	res := Plan(g, world.C(0, 0), world.C(0, 0))
+	res := new(Planner).Plan(g, world.C(0, 0), world.C(0, 0))
 	if !res.Found || len(res.Path) != 1 {
 		t.Fatalf("self-path = %+v", res)
 	}
@@ -18,7 +18,7 @@ func TestTrivialPath(t *testing.T) {
 
 func TestStraightLine(t *testing.T) {
 	g := world.NewGrid(10, 10)
-	res := Plan(g, world.C(0, 0), world.C(5, 0))
+	res := new(Planner).Plan(g, world.C(0, 0), world.C(5, 0))
 	if !res.Found {
 		t.Fatal("no path on empty grid")
 	}
@@ -30,7 +30,7 @@ func TestStraightLine(t *testing.T) {
 func TestOptimalLengthOnEmptyGrid(t *testing.T) {
 	g := world.NewGrid(20, 20)
 	start, goal := world.C(2, 3), world.C(15, 11)
-	res := Plan(g, start, goal)
+	res := new(Planner).Plan(g, start, goal)
 	want := world.Manhattan(start, goal) + 1
 	if !res.Found || len(res.Path) != want {
 		t.Fatalf("path cells = %d, want %d (optimal)", len(res.Path), want)
@@ -43,7 +43,7 @@ func TestDetour(t *testing.T) {
 	for y := 0; y < 9; y++ {
 		g.SetBlocked(world.C(5, y), true)
 	}
-	res := Plan(g, world.C(0, 0), world.C(9, 0))
+	res := new(Planner).Plan(g, world.C(0, 0), world.C(9, 0))
 	if !res.Found {
 		t.Fatal("path exists through the gap")
 	}
@@ -58,7 +58,7 @@ func TestUnreachable(t *testing.T) {
 	for y := 0; y < 10; y++ {
 		g.SetBlocked(world.C(5, y), true)
 	}
-	res := Plan(g, world.C(0, 0), world.C(9, 0))
+	res := new(Planner).Plan(g, world.C(0, 0), world.C(9, 0))
 	if res.Found {
 		t.Fatal("found path through solid wall")
 	}
@@ -70,10 +70,10 @@ func TestUnreachable(t *testing.T) {
 func TestBlockedEndpoints(t *testing.T) {
 	g := world.NewGrid(5, 5)
 	g.SetBlocked(world.C(0, 0), true)
-	if Plan(g, world.C(0, 0), world.C(4, 4)).Found {
+	if new(Planner).Plan(g, world.C(0, 0), world.C(4, 4)).Found {
 		t.Fatal("blocked start should fail")
 	}
-	if Plan(g, world.C(4, 4), world.C(0, 0)).Found {
+	if new(Planner).Plan(g, world.C(4, 4), world.C(0, 0)).Found {
 		t.Fatal("blocked goal should fail")
 	}
 }
@@ -108,7 +108,7 @@ func TestRandomGridsProperty(t *testing.T) {
 		}
 		start := world.C(r.Intn(15), r.Intn(15))
 		goal := world.C(r.Intn(15), r.Intn(15))
-		res := Plan(g, start, goal)
+		res := new(Planner).Plan(g, start, goal)
 		if !res.Found {
 			return true
 		}
@@ -135,17 +135,58 @@ func TestRandomGridsProperty(t *testing.T) {
 
 func TestExpandedGrowsWithDistance(t *testing.T) {
 	g := world.NewGrid(40, 40)
-	near := Plan(g, world.C(0, 0), world.C(2, 0))
-	far := Plan(g, world.C(0, 0), world.C(39, 39))
+	near := new(Planner).Plan(g, world.C(0, 0), world.C(2, 0))
+	far := new(Planner).Plan(g, world.C(0, 0), world.C(39, 39))
 	if far.Expanded <= near.Expanded {
 		t.Fatalf("expanded near=%d far=%d", near.Expanded, far.Expanded)
 	}
 }
 
+// houseGrid is the gridhouse wall layout: a 25×25 house split into four
+// rooms by walls at x=12 and y=12, each wall with two doors.
+func houseGrid() *world.Grid {
+	g := world.NewGrid(25, 25)
+	for i := 0; i < 25; i++ {
+		g.SetBlocked(world.C(12, i), true)
+		g.SetBlocked(world.C(i, 12), true)
+	}
+	for _, d := range []world.Cell{world.C(12, 6), world.C(12, 18), world.C(6, 12), world.C(18, 12)} {
+		g.SetBlocked(d, false)
+	}
+	return g
+}
+
+// TestPlannerAllocationFree: once its scratch has grown, a planner plans
+// across the house without allocating, whether the goal is reached,
+// unreachable or the start itself.
+func TestPlannerAllocationFree(t *testing.T) {
+	g := houseGrid()
+	queries := [][2]world.Cell{
+		{world.C(2, 2), world.C(18, 18)}, // through two doors
+		{world.C(20, 3), world.C(6, 20)},
+		{world.C(5, 5), world.C(5, 5)},   // start == goal
+		{world.C(0, 0), world.C(12, 0)},  // blocked goal
+		{world.C(24, 24), world.C(0, 0)}, // corner to corner
+	}
+	var p Planner
+	for _, q := range queries {
+		p.Plan(g, q[0], q[1])
+	}
+	for _, q := range queries {
+		if n := testing.AllocsPerRun(50, func() { p.Plan(g, q[0], q[1]) }); n != 0 {
+			t.Errorf("Plan(%v, %v) on a warm planner: %v allocs, want 0", q[0], q[1], n)
+		}
+	}
+}
+
+var sink Result
+
 func BenchmarkPlanOpenGrid(b *testing.B) {
 	g := world.NewGrid(50, 50)
+	var p Planner
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Plan(g, world.C(0, 0), world.C(49, 49))
+		sink = p.Plan(g, world.C(0, 0), world.C(49, 49))
 	}
 }
 
@@ -156,8 +197,10 @@ func BenchmarkPlanMaze(b *testing.B) {
 			g.SetBlocked(world.C(x, y), true)
 		}
 	}
+	var p Planner
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Plan(g, world.C(0, 0), world.C(49, 49))
+		sink = p.Plan(g, world.C(0, 0), world.C(49, 49))
 	}
 }
