@@ -387,21 +387,20 @@ func BenchmarkReplayObservedFaults(b *testing.B) {
 func TestReplicaSpansSaturate(t *testing.T) {
 	as := Autoscale{Interval: time.Hour, Min: 4, Max: 4}
 	for _, c := range []struct {
-		name        string
-		acc, anchor time.Duration // running sum and the span's start
-		end         time.Duration
+		name     string
+		acc, end time.Duration // running sum, and the end of a span from 0
 	}{
-		{"sum", never - time.Hour, 0, 2 * time.Hour},
-		{"product", 0, 0, never / 2},
+		{"sum", never - time.Hour, 2 * time.Hour},
+		{"product", 0, never / 2},
 	} {
 		tick := New(Config{Replicas: 4, Autoscale: as})
-		tick.stats.ReplicaTime, tick.asLast = c.acc, c.anchor
+		tick.stats.ReplicaTime = c.acc
 		tick.evalAutoscale(c.end)
 		if got := tick.stats.ReplicaTime; got != never {
 			t.Errorf("%s: ReplicaTime after a tick = %v, want saturated at %v", c.name, got, never)
 		}
 		fin := New(Config{Replicas: 4, Autoscale: as})
-		fin.stats.ReplicaTime, fin.asLast, fin.asNext = c.acc, c.anchor, never
+		fin.stats.ReplicaTime, fin.asNext = c.acc, never
 		fin.finishAutoscale(c.end)
 		if got := fin.stats.ReplicaTime; got != never {
 			t.Errorf("%s: ReplicaTime after finish = %v, want saturated at %v", c.name, got, never)
