@@ -3,6 +3,7 @@ package serve
 import (
 	"cmp"
 	"slices"
+	"sort"
 	"time"
 
 	"embench/internal/metrics"
@@ -136,8 +137,7 @@ type replayLoop struct {
 
 	states   []rState
 	attempts []rAttempt
-	queue    []int         // attempt ids, sorted by (priority, attempt arrival, id)
-	dirty    bool          // queue needs re-sorting
+	queue    []int         // attempt ids, kept in queueCmp order on insert
 	inflight []int         // attempt ids whose batch is running
 	doneAt   time.Duration // earliest batch end in inflight; never when empty
 	timers   []rTimer      // sorted by time, then insertion
@@ -250,7 +250,6 @@ func (l *replayLoop) run() {
 			l.nextArr++
 			l.enqueue(qi, reqs[qi].Arrival)
 		}
-		l.sortQueue()
 		l.launch()
 		if l.resolved >= len(reqs) {
 			break
@@ -328,32 +327,49 @@ func (l *replayLoop) resolveServed(ai int) {
 	}
 }
 
-// sortQueue restores the queue's (priority, attempt arrival, id) order
-// after admissions.
-func (l *replayLoop) sortQueue() {
-	if !l.dirty {
-		return
+// prio is attempt ai's priority class.
+func (l *replayLoop) prio(ai int) int { return l.reqs[l.attempts[ai].req].Priority }
+
+// queueCmp orders queued attempt ids by (priority, attempt arrival, id).
+func (l *replayLoop) queueCmp(a, b int) int {
+	if c := cmp.Compare(l.prio(a), l.prio(b)); c != 0 {
+		return c
 	}
-	l.dirty = false
-	slices.SortFunc(l.queue, func(a, b int) int {
-		aa, ab := &l.attempts[a], &l.attempts[b]
-		if c := cmp.Compare(l.reqs[aa.req].Priority, l.reqs[ab.req].Priority); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(aa.arrival, ab.arrival); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	if c := cmp.Compare(l.attempts[a].arrival, l.attempts[b].arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
 }
 
-// oldestQueued is the earliest admission time among queued attempts.
+// queueAttempt inserts attempt ai at its place in the queue. New arrivals,
+// retries and hedges are the newest attempts and nearly always belong at
+// the tail; a higher-priority arrival or a crash re-queue, which keeps its
+// old arrival, is binary-searched into place.
+func (l *replayLoop) queueAttempt(ai int) {
+	q := l.queue
+	if n := len(q); n == 0 || l.queueCmp(q[n-1], ai) < 0 {
+		l.queue = append(q, ai)
+	} else {
+		i := sort.Search(n, func(i int) bool { return l.queueCmp(q[i], ai) > 0 })
+		l.queue = slices.Insert(q, i, ai)
+	}
+	l.expireAt = min(l.expireAt, l.expiry(ai))
+}
+
+// oldestQueued is the earliest admission time among queued attempts; never
+// when the queue is empty. Within a priority class the queue is in arrival
+// order, so only each class's head can hold the oldest: the scan hops from
+// head to head by binary search, and stops at once when the head's class
+// runs to the tail.
 func (l *replayLoop) oldestQueued() time.Duration {
-	oldest := l.attempts[l.queue[0]].arrival
-	for _, ai := range l.queue[1:] {
-		if l.attempts[ai].arrival < oldest {
-			oldest = l.attempts[ai].arrival
+	oldest := never
+	for q := l.queue; len(q) > 0; {
+		oldest = min(oldest, l.attempts[q[0]].arrival)
+		p := l.prio(q[0])
+		if l.prio(q[len(q)-1]) == p {
+			break
 		}
+		q = q[sort.Search(len(q), func(i int) bool { return l.prio(q[i]) > p }):]
 	}
 	return oldest
 }

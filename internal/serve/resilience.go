@@ -121,9 +121,7 @@ func (l *replayLoop) resolveUnserved(req int, t time.Duration, out Outcome) {
 func (l *replayLoop) admit(a rAttempt) {
 	l.states[a.req].live++
 	l.attempts = append(l.attempts, a)
-	l.queue = append(l.queue, len(l.attempts)-1)
-	l.dirty = true
-	l.expireAt = min(l.expireAt, l.expiry(len(l.attempts)-1))
+	l.queueAttempt(len(l.attempts) - 1)
 }
 
 // enqueue admits one non-hedge attempt (original or retry) at time t,
@@ -310,10 +308,7 @@ func (l *replayLoop) crashBatch(r *replica, ri int, w faultWindow) {
 		if w.start >= l.expiry(ai) {
 			l.timeOutAttempt(ai, w.start)
 		} else {
-			l.queue = append(l.queue, ai)
-			l.dirty = true
-			l.expireAt = min(l.expireAt, l.expiry(ai))
+			l.queueAttempt(ai)
 		}
 	}
-	l.sortQueue()
 }
