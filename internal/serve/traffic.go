@@ -146,6 +146,10 @@ func burstPhases(src *rng.Source, horizon time.Duration, on, off time.Duration) 
 	return ws
 }
 
+// histTurns is the history window of tenant prompts: a tenant's seq-th
+// prompt depends only on seq % histTurns.
+const histTurns = 12
+
 // tenantPrompt builds tenant id's seq-th request prompt: the fleet-wide
 // system+task preamble, the tenant's persona, and a sliding-window history
 // tail — the SharedPreambleTrace section shapes, re-keyed per tenant.
@@ -161,7 +165,7 @@ func tenantPrompt(id, seq int) prompt.Prompt {
 		// History grows per exchange and truncates on a 12-turn window,
 		// like a production context manager; the modulus also bounds the
 		// distinct prefix variants a long stream creates.
-		prompt.Section{Name: "hist", Tokens: 40 + 30*(seq%12), Droppable: true},
+		prompt.Section{Name: "hist", Tokens: 40 + 30*(seq%histTurns), Droppable: true},
 	)
 }
 
@@ -204,6 +208,9 @@ func tenantArrivals(t Traffic, id int, src *rng.Source, bursts []burstWindow) []
 // GenerateTraffic renders the workload into an open-loop request trace,
 // sorted by (arrival, tenant id, per-tenant sequence) — a deterministic
 // total order even when seeded processes collide on an arrival time.
+// A tenant has only histTurns distinct prompts, so its requests share them
+// and one agent name: Prompt.Sections is shared between requests and must
+// be treated as read-only (every prompt helper copies before writing).
 func GenerateTraffic(t Traffic) []Request {
 	t = t.withDefaults()
 	src := rng.New(t.Seed).Sub("serve/traffic")
@@ -212,12 +219,17 @@ func GenerateTraffic(t Traffic) []Request {
 		bursts = burstPhases(src, t.Horizon, t.BurstOn, t.BurstOff)
 	}
 	var reqs []Request
+	var prompts [histTurns]prompt.Prompt
 	for id := 0; id < t.Tenants; id++ {
+		agent := fmt.Sprintf("t%d", id)
+		for seq := range prompts {
+			prompts[seq] = tenantPrompt(id, seq)
+		}
 		for seq, at := range tenantArrivals(t, id, src, bursts) {
 			reqs = append(reqs, Request{
-				Agent:     fmt.Sprintf("t%d", id),
+				Agent:     agent,
 				Arrival:   at,
-				Prompt:    tenantPrompt(id, seq),
+				Prompt:    prompts[seq%histTurns],
 				OutTokens: 60,
 			})
 		}

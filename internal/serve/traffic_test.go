@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"embench/internal/prompt"
 	"embench/internal/rng"
 )
 
@@ -30,6 +33,41 @@ func TestTrafficDeterministic(t *testing.T) {
 		}
 		if c := GenerateTraffic(Traffic{Kind: kind, Tenants: 6, Horizon: 20 * time.Minute, Seed: 12}); reflect.DeepEqual(a, c) {
 			t.Fatalf("%s: different seeds produced identical streams", kind)
+		}
+	}
+}
+
+// TestTrafficSharedPrompts: sharing each tenant's prompts and agent name
+// across its requests yields exactly the trace that building every
+// request's prompt afresh does, and the sharing really happens.
+func TestTrafficSharedPrompts(t *testing.T) {
+	for _, kind := range ArrivalKinds() {
+		tr := Traffic{Kind: kind, Tenants: 5, Horizon: 40 * time.Minute, Seed: 3}
+		got := GenerateTraffic(tr)
+		tr = tr.withDefaults()
+		src := rng.New(tr.Seed).Sub("serve/traffic")
+		var bursts []burstWindow
+		if tr.Kind == ArriveBursty {
+			bursts = burstPhases(src, tr.Horizon, tr.BurstOn, tr.BurstOff)
+		}
+		var want []Request
+		for id := 0; id < tr.Tenants; id++ {
+			for seq, at := range tenantArrivals(tr, id, src, bursts) {
+				want = append(want, Request{Agent: fmt.Sprintf("t%d", id), Arrival: at,
+					Prompt: tenantPrompt(id, seq), OutTokens: 60})
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return want[a].Arrival < want[b].Arrival })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: shared-prompt trace differs from per-request construction", kind)
+		}
+		arrays := map[*prompt.Section]bool{}
+		for _, r := range got {
+			arrays[&r.Prompt.Sections[0]] = true
+		}
+		if distinct := tr.Tenants * histTurns; len(got) <= distinct || len(arrays) > distinct {
+			t.Fatalf("%s: %d requests hold %d section arrays, want more requests than %d and at most that many arrays",
+				kind, len(got), len(arrays), distinct)
 		}
 	}
 }
