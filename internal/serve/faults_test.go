@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"embench/internal/llm"
 	"embench/internal/rng"
 	"embench/internal/serve/obs"
 )
@@ -348,23 +347,15 @@ func TestRetryJitterMatchesFreshStreams(t *testing.T) {
 // a fresh flight recorder per op: the resilient event loop plus recorder
 // writes.
 func BenchmarkReplayObservedFaults(b *testing.B) {
-	cfg := Config{
-		Profile: llm.GPT4, Replicas: 8,
-		MaxBatch: 4, MaxWait: 500 * time.Millisecond,
-		CacheEntries: 512, CacheTokens: 8192, Identity: IdentityContent,
-		Autoscale: Autoscale{
-			Interval: 15 * time.Second, ColdStart: 10 * time.Second,
-			UpUtil: 0.5, DownUtil: 0.25, Min: 2, Max: 8,
-		},
-		Faults: Faults{
-			MTBF: 3 * time.Minute, MTTR: 60 * time.Second,
-			StragglerEvery: 90 * time.Second, StragglerFor: 20 * time.Second,
-			StragglerFactor: 6, Seed: 1,
-		},
-		Retry: RetryPolicy{Max: 2, Base: 500 * time.Millisecond, Factor: 2, Jitter: 0.2},
-		Hedge: HedgePolicy{Delay: 10 * time.Second},
-		Shed:  ShedPolicy{Wait: 35 * time.Second},
+	cfg := fig12Autoscaled()
+	cfg.Faults = Faults{
+		MTBF: 3 * time.Minute, MTTR: 60 * time.Second,
+		StragglerEvery: 90 * time.Second, StragglerFor: 20 * time.Second,
+		StragglerFactor: 6, Seed: 1,
 	}
+	cfg.Retry = RetryPolicy{Max: 2, Base: 500 * time.Millisecond, Factor: 2, Jitter: 0.2}
+	cfg.Hedge = HedgePolicy{Delay: 10 * time.Second}
+	cfg.Shed = ShedPolicy{Wait: 35 * time.Second}
 	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 24, Horizon: 30 * time.Minute, Seed: 1})
 	for i := range reqs {
 		reqs[i].Deadline = 40 * time.Second

@@ -372,3 +372,31 @@ func BenchmarkReplay(b *testing.B) {
 		Replay(cfg, reqs)
 	}
 }
+
+// fig12Autoscaled is fig12's autoscaled deployment: up to 8 GPT-4
+// replicas, scaled between 2 and 8 on a 15 s evaluation clock.
+func fig12Autoscaled() Config {
+	return Config{
+		Profile: llm.GPT4, Replicas: 8,
+		MaxBatch: 4, MaxWait: 500 * time.Millisecond,
+		CacheEntries: 512, CacheTokens: 8192, Identity: IdentityContent,
+		Autoscale: Autoscale{
+			Interval: 15 * time.Second, ColdStart: 10 * time.Second,
+			UpUtil: 0.5, DownUtil: 0.25, Min: 2, Max: 8,
+		},
+	}
+}
+
+// BenchmarkReplayOverloaded replays 72 bursty tenants over two hours on
+// fig12's autoscaled deployment, past its capacity knee: bursts back the
+// admission queue up to hundreds of attempts, so the replay loop's queue
+// keeping shows in ns/op and allocs/op.
+func BenchmarkReplayOverloaded(b *testing.B) {
+	cfg := fig12Autoscaled()
+	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 72, Horizon: 2 * time.Hour, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Replay(cfg, reqs)
+	}
+}
