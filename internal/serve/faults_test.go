@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -412,5 +413,29 @@ func TestReplicaSpansSaturate(t *testing.T) {
 	small.crashReplica(&small.replicas[0], 0, faultWindow{start: time.Hour, end: 3 * time.Hour}, 0)
 	if got := small.stats.ReplicaDowntime; got != 2*time.Hour {
 		t.Errorf("in-range ReplicaDowntime = %v, want 2h", got)
+	}
+}
+
+// TestStragglerMemoBounded replays 20 requests under straggler windows a
+// second apart on replicas whose restarts take thousands of hours
+// (mtbf=1s,mttr=10000h), so the last batch launches some 16,000 h in. The
+// straggler process must not keep every window it drew up to that instant:
+// the replay allocates at most 64 MB.
+func TestStragglerMemoBounded(t *testing.T) {
+	f, err := ParseFaults("mtbf=1s,mttr=10000h,straggle=1s,for=1ns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _ := specConfig(f)
+	reqs := GenerateTraffic(Traffic{Seed: 1})[:20]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := Replay(cfg, reqs)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Errorf("replay allocated %d MB (makespan %v), want at most 64 MB", got>>20, res.Makespan)
+	}
+	if s := res.Stats; s.Requests != len(reqs) {
+		t.Errorf("served %d of %d requests", s.Requests, len(reqs))
 	}
 }
