@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"embench/internal/rng"
@@ -100,7 +99,21 @@ func ParseFaults(s string) (Faults, error) {
 		durField("for", &f.StragglerFor, 0),
 		floatField("slow", &f.StragglerFactor, slowRule),
 		uintField("seed", &f.Seed))
+	if err == nil {
+		if err = f.checkRepairGaps(); err != nil {
+			f = Faults{}
+		}
+	}
 	return f, err
+}
+
+// checkRepairGaps enforces maxRepairGaps: with both processes on, mttr may
+// span at most maxRepairGaps straggler gaps.
+func (f Faults) checkRepairGaps() error {
+	if f.MTBF > 0 && f.StragglerEvery > 0 && f.MTTR/maxRepairGaps > f.StragglerEvery {
+		return fmt.Errorf("serve: faults mttr %v spans more than %d straggler gaps of %v", f.MTTR, maxRepairGaps, f.StragglerEvery)
+	}
+	return nil
 }
 
 // RetryPolicy re-issues a replayed request after a deadline timeout:
@@ -232,16 +245,15 @@ type faultWindow struct{ start, end time.Duration }
 
 // faultClock is one replica's fault-schedule state: the crash stream with
 // its generation frontier and not-yet-applied down windows, the straggler
-// stream with its memoized episode windows, and the bookkeeping the serving
+// stream with its current episode window, and the bookkeeping the serving
 // path reads (downUntil for routing, batchFactor for join pricing).
 type faultClock struct {
 	st      *rng.Stream   // crash process (nil when crashes disabled)
 	at      time.Duration // crash schedule generated through this time
 	pending []faultWindow // generated down windows, consumed in order
 
-	stragSt *rng.Stream   // straggler process (nil when disabled)
-	stragAt time.Duration // straggler schedule generated through this time
-	strag   []faultWindow // memoized episode windows (queried, never consumed)
+	stragSt *rng.Stream // straggler process (nil when disabled)
+	strag   faultWindow // first drawn episode window ending after the latest query
 
 	downUntil   time.Duration // end of the applied down window covering now
 	batchFactor float64       // straggler factor of the in-flight batch (joins)
@@ -434,22 +446,22 @@ func (e *Endpoint) dropFaultsBefore(ri int, t time.Duration) {
 
 // stragFactor reports the service-time multiplier for a batch STARTING on
 // replica ri at virtual time t: StragglerFactor inside an episode window, 1
-// outside. Windows are memoized per replica, so repeated queries (and the
-// replay event loop's non-monotone probes) are pure lookups.
+// outside. A replica's queries never go back in time — replay launches
+// follow the event clock, and a closed-loop batch starts no earlier than
+// its replica's freeAt, which never decreases — so the clock keeps only the
+// first window that ends after the latest query, and memory stays O(1)
+// however long the run.
 func (e *Endpoint) stragFactor(ri int, t time.Duration) float64 {
 	c := &e.fx.clocks[ri]
 	if c.stragSt == nil {
 		return 1
 	}
 	cfg := e.fx.cfg
-	for c.stragAt <= t {
-		gap := faultDur(c.stragSt, cfg.StragglerEvery)
-		length := faultDur(c.stragSt, cfg.StragglerFor)
-		c.strag = append(c.strag, faultWindow{start: c.stragAt + gap, end: c.stragAt + gap + length})
-		c.stragAt += gap + length
+	for c.strag.end <= t {
+		start := c.strag.end + faultDur(c.stragSt, cfg.StragglerEvery)
+		c.strag = faultWindow{start: start, end: start + faultDur(c.stragSt, cfg.StragglerFor)}
 	}
-	i := sort.Search(len(c.strag), func(i int) bool { return c.strag[i].start > t })
-	if i > 0 && t < c.strag[i-1].end {
+	if t >= c.strag.start {
 		return cfg.StragglerFactor
 	}
 	return 1

@@ -416,26 +416,44 @@ func TestReplicaSpansSaturate(t *testing.T) {
 	}
 }
 
-// TestStragglerMemoBounded replays 20 requests under straggler windows a
-// second apart on replicas whose restarts take thousands of hours
-// (mtbf=1s,mttr=10000h), so the last batch launches some 16,000 h in. The
-// straggler process must not keep every window it drew up to that instant:
-// the replay allocates at most 64 MB.
+// TestStragglerMemoBounded bounds the straggler process's time and memory.
+// A repair time of 10^8 straggler gaps (mtbf=1s,mttr=10000h,straggle=1s:
+// the last batch launches some 16,000 h in) is rejected by maxRepairGaps;
+// a repair at the rule's limit replays quickly. Windows a second apart over
+// a 1000 h trace stay within 64 MB of allocation, since the process keeps
+// only the window after the latest query, not every window it drew.
 func TestStragglerMemoBounded(t *testing.T) {
-	f, err := ParseFaults("mtbf=1s,mttr=10000h,straggle=1s,for=1ns")
+	const spec = "mtbf=1s,mttr=10000h,straggle=1s,for=1ns"
+	if f, err := ParseFaults(spec); err == nil {
+		t.Errorf("ParseFaults(%q) = %+v, want a repair-gap error", spec, f)
+	}
+	over := Faults{MTBF: time.Second, MTTR: 10000 * time.Hour, StragglerEvery: time.Second}
+	if err := (Config{Faults: over}).Validate(); err == nil {
+		t.Errorf("Validate accepted faults %+v", over)
+	}
+	edge, err := ParseFaults("mtbf=1s,mttr=10000h,straggle=360s,for=1ns")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _ := specConfig(f)
-	reqs := GenerateTraffic(Traffic{Seed: 1})[:20]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := Replay(cfg, reqs)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
-		t.Errorf("replay allocated %d MB (makespan %v), want at most 64 MB", got>>20, res.Makespan)
-	}
-	if s := res.Stats; s.Requests != len(reqs) {
-		t.Errorf("served %d of %d requests", s.Requests, len(reqs))
+	long := GenerateTraffic(Traffic{Seed: 1, Tenants: 1, Horizon: 1000 * time.Hour, Rate: 1.0 / (50 * 3600)})
+	for _, c := range []struct {
+		name string
+		f    Faults
+		reqs []Request
+	}{
+		{"mttr at the gap limit", edge, GenerateTraffic(Traffic{Seed: 1})[:20]},
+		{"1s gaps over 1000h", Faults{StragglerEvery: time.Second, StragglerFor: time.Millisecond}, long},
+	} {
+		cfg, _ := specConfig(c.f)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Replay(cfg, c.reqs)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+			t.Errorf("%s: replay allocated %d MB (makespan %v), want at most 64 MB", c.name, got>>20, res.Makespan)
+		}
+		if s := res.Stats; s.Requests != len(c.reqs) {
+			t.Errorf("%s: served %d of %d requests", c.name, s.Requests, len(c.reqs))
+		}
 	}
 }

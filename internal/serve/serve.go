@@ -289,7 +289,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: %s must be 0 or in [%v, %v], got %v", f.name, f.min, maxSpecDuration, f.d)
 		}
 	}
-	return nil
+	return c.Faults.checkRepairGaps()
 }
 
 // withDefaults fills zero fields.

@@ -47,7 +47,8 @@ var specKinds = []specKind{
 			StragglerFor: 20 * time.Second, StragglerFactor: 4, Seed: 1},
 		rejects: []string{"mtbf", "x=1", "mtbf=fast", "mtbf=5m,seed=-1", "straggle=1m,slow=0.5",
 			"straggle=1m,slow=NaN", "straggle=1m,slow=+Inf", "straggle=1m,slow=1e300",
-			"straggle=1m,slow=1001", "mtbf=5m,mttr=10001h", "mtbf=100ms", "straggle=1ns", "mttr=30s"},
+			"straggle=1m,slow=1001", "mtbf=5m,mttr=10001h", "mtbf=100ms", "straggle=1ns", "mttr=30s",
+			"mtbf=1s,mttr=10000h,straggle=1s,for=1ns"},
 	},
 	{
 		name: "retry", parse: anySpec(ParseRetry),
