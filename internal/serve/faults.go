@@ -88,7 +88,9 @@ func (f Faults) withDefaults() Faults {
 // (mtbf=5m,mttr=30s); the fields are mtbf=DUR, mttr=DUR, straggle=DUR (mean
 // gap between straggler episodes), for=DUR (mean episode length), slow=F
 // (straggler service multiplier) and seed=UINT. An explicit spec must set
-// mtbf or straggle. The config is the zero value on error.
+// mtbf or straggle, and pass Config.Validate's cross-field rule that mttr
+// spans at most maxRepairGaps straggler gaps. The config is the zero value
+// on error.
 func ParseFaults(s string) (Faults, error) {
 	var f Faults
 	err := parseSpec(&f, "faults", s, &Faults{MTBF: 5 * time.Minute, MTTR: 30 * time.Second},
@@ -100,20 +102,11 @@ func ParseFaults(s string) (Faults, error) {
 		floatField("slow", &f.StragglerFactor, slowRule),
 		uintField("seed", &f.Seed))
 	if err == nil {
-		if err = f.checkRepairGaps(); err != nil {
+		if err = (Config{Faults: f}).Validate(); err != nil {
 			f = Faults{}
 		}
 	}
 	return f, err
-}
-
-// checkRepairGaps enforces maxRepairGaps: with both processes on, mttr may
-// span at most maxRepairGaps straggler gaps.
-func (f Faults) checkRepairGaps() error {
-	if f.MTBF > 0 && f.StragglerEvery > 0 && f.MTTR/maxRepairGaps > f.StragglerEvery {
-		return fmt.Errorf("serve: faults mttr %v spans more than %d straggler gaps of %v", f.MTTR, maxRepairGaps, f.StragglerEvery)
-	}
-	return nil
 }
 
 // RetryPolicy re-issues a replayed request after a deadline timeout:
@@ -446,11 +439,10 @@ func (e *Endpoint) dropFaultsBefore(ri int, t time.Duration) {
 
 // stragFactor reports the service-time multiplier for a batch STARTING on
 // replica ri at virtual time t: StragglerFactor inside an episode window, 1
-// outside. A replica's queries never go back in time — replay launches
-// follow the event clock, and a closed-loop batch starts no earlier than
-// its replica's freeAt, which never decreases — so the clock keeps only the
-// first window that ends after the latest query, and memory stays O(1)
-// however long the run.
+// outside. A replica's queries never go back in time (replay launches
+// follow the event clock; a closed-loop batch starts no earlier than its
+// replica's freeAt, which never decreases), so the clock keeps only the
+// first window ending after the latest query.
 func (e *Endpoint) stragFactor(ri int, t time.Duration) float64 {
 	c := &e.fx.clocks[ri]
 	if c.stragSt == nil {

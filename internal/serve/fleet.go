@@ -32,7 +32,8 @@ import (
 // # Scale
 //
 // The merge is built to stay cheap at thousands of episodes: revealed
-// pending requests live in a min-heap keyed by (arrival, client id), so
+// pending requests live on a calendar (the replay loop's min-heap) keyed by
+// (arrival, client id), so
 // each admission costs O(log N) instead of a linear rescan, and a served
 // client is woken through its own one-slot channel, so an admission wakes
 // exactly the episode whose request completed instead of broadcasting to
@@ -51,11 +52,11 @@ type Fleet struct {
 	mu      sync.Mutex
 	ep      *Endpoint
 	clients []*FleetClient
-	// heap holds the clients whose next request is revealed but unserved,
-	// ordered by (pend.arrival, id); unrevealed counts the live clients
-	// that are not in the heap. Admission may proceed exactly when
+	// revealed holds the ids of the clients whose next request is revealed
+	// but unserved, keyed by (pend.arrival, id); unrevealed counts the live
+	// clients that are not on it. Admission may proceed exactly when
 	// unrevealed == 0 — the conservative rule as two O(1)-readable facts.
-	heap       []*FleetClient
+	revealed   calendar[struct{}]
 	unrevealed int
 	// gate, when set, bounds active episode execution (see Gate). Read
 	// without the mutex: it must be set before any episode runs and never
@@ -145,7 +146,7 @@ func NewLinearFleet(cfg Config, episodes int) *Fleet {
 
 func (f *Fleet) init(episodes int) {
 	f.clients = make([]*FleetClient, episodes)
-	f.heap = make([]*FleetClient, 0, episodes)
+	f.revealed = make(calendar[struct{}], 0, episodes)
 	f.unrevealed = episodes
 	for i := range f.clients {
 		f.clients[i] = &FleetClient{f: f, id: i, wake: make(chan struct{}, 1)}
@@ -190,65 +191,15 @@ func (f *Fleet) emitAdmit(c *FleetClient, p *fleetPending) {
 	})
 }
 
-// --- heap of revealed pending requests, keyed by (arrival, client id) ---
-
-// lessThan orders revealed clients by their merge key.
-func lessThan(a, b *FleetClient) bool {
-	if a.pend.arrival != b.pend.arrival {
-		return a.pend.arrival < b.pend.arrival
-	}
-	return a.id < b.id
-}
-
-// heapPush adds a revealed client. Runs with f.mu held.
-func (f *Fleet) heapPush(c *FleetClient) {
-	f.heap = append(f.heap, c)
-	i := len(f.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lessThan(f.heap[i], f.heap[parent]) {
-			break
-		}
-		f.heap[i], f.heap[parent] = f.heap[parent], f.heap[i]
-		i = parent
-	}
-}
-
-// heapPopMin removes and returns the earliest revealed client. Runs with
-// f.mu held; the heap must be non-empty.
-func (f *Fleet) heapPopMin() *FleetClient {
-	min := f.heap[0]
-	last := len(f.heap) - 1
-	f.heap[0] = f.heap[last]
-	f.heap[last] = nil
-	f.heap = f.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(f.heap) && lessThan(f.heap[l], f.heap[smallest]) {
-			smallest = l
-		}
-		if r < len(f.heap) && lessThan(f.heap[r], f.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return min
-		}
-		f.heap[i], f.heap[smallest] = f.heap[smallest], f.heap[i]
-		i = smallest
-	}
-}
-
 // dispatch admits pending requests while the conservative rule allows:
 // every still-attached client must have revealed an unserved pending
-// request (unrevealed == 0) before the heap minimum — smallest
-// (arrival, client id) — may be served. Each admission pops the heap,
+// request (unrevealed == 0) before the earliest revealed one — smallest
+// (arrival, client id) — may be served. Each admission pops the calendar,
 // serves against the shared endpoint, and signals exactly the served
 // client's wake channel. Runs with f.mu held.
 func (f *Fleet) dispatch() {
-	for f.unrevealed == 0 && len(f.heap) > 0 {
-		c := f.heapPopMin()
+	for f.unrevealed == 0 && len(f.revealed) > 0 {
+		c := f.clients[f.revealed.pop().id]
 		// c is live again but its next request is not revealed yet.
 		f.unrevealed++
 		f.serve(c)
@@ -287,7 +238,7 @@ func (c *FleetClient) submit(p *fleetPending) {
 		panic("serve: FleetClient used after Finish")
 	}
 	c.pend = p
-	f.heapPush(c)
+	f.revealed.push(p.arrival, c.id, struct{}{})
 	f.unrevealed--
 	f.dispatch()
 	served := p.served
@@ -372,7 +323,7 @@ func (c *FleetClient) Finish() {
 	}
 	c.done = true
 	if !f.linear {
-		// The finishing client is by construction not in the heap (its
+		// The finishing client is by construction not revealed (its
 		// owning goroutine only calls Finish between requests), so it was
 		// counted unrevealed; removing it may unblock admissions, and
 		// dispatch wakes exactly the clients it serves.
@@ -385,6 +336,14 @@ func (c *FleetClient) Finish() {
 }
 
 // --- seed reference merge: linear scan + broadcast (NewLinearFleet) ---
+
+// lessThan orders revealed clients by their merge key, (arrival, id).
+func lessThan(a, b *FleetClient) bool {
+	if a.pend.arrival != b.pend.arrival {
+		return a.pend.arrival < b.pend.arrival
+	}
+	return a.id < b.id
+}
 
 // dispatchLinear is the seed admission loop: an O(N) scan over every
 // client per admitted request. Runs with f.mu held; every serve wakes all

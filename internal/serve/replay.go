@@ -103,6 +103,64 @@ func Replay(cfg Config, reqs []Request) ReplayResult {
 // never is a time no event reaches.
 const never = time.Duration(1<<63 - 1)
 
+// calendar is the event calendar of the serving loops: a binary min-heap of
+// entries ordered by (at, id), each carrying a payload v. The replay loop
+// keeps its batch completions, deadline expiries and client timers on one,
+// and the fleet merge its revealed clients.
+type calendar[T any] []calEntry[T]
+
+type calEntry[T any] struct {
+	at time.Duration
+	id int
+	v  T
+}
+
+func (c calendar[T]) less(i, j int) bool {
+	return c[i].at < c[j].at || c[i].at == c[j].at && c[i].id < c[j].id
+}
+
+// next is the earliest entry's time; never when the calendar is empty.
+func (c calendar[T]) next() time.Duration {
+	if len(c) == 0 {
+		return never
+	}
+	return c[0].at
+}
+
+func (c *calendar[T]) push(at time.Duration, id int, v T) {
+	*c = append(*c, calEntry[T]{at, id, v})
+	h := *c
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest entry; the calendar must not be
+// empty.
+func (c *calendar[T]) pop() calEntry[T] {
+	h := *c
+	top, n := h[0], len(h)-1
+	h[0], h = h[n], h[:n]
+	for i, m := 0, 0; ; i = m {
+		for _, k := range []int{2*i + 1, 2*i + 2} {
+			if k < n && h.less(k, m) {
+				m = k
+			}
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+	}
+	*c = h
+	return top
+}
+
 // addSpan adds a non-negative span to a non-negative running sum,
 // saturating at never instead of wrapping negative.
 func addSpan(sum, d time.Duration) time.Duration {
@@ -131,16 +189,19 @@ type replayLoop struct {
 	keys    []promptKey // each request's prefix chain, hashed once
 	order   []int       // request indices in (arrival, priority, index) order
 	nextArr int         // next entry of order to arrive
-	// expireAt bounds the earliest deadline expiry among queued attempts
-	// from below; never while none of them has a deadline.
-	expireAt time.Duration
 
 	states   []rState
 	attempts []rAttempt
-	queue    []int         // attempt ids, kept in queueCmp order on insert
-	inflight []int         // attempt ids whose batch is running
-	doneAt   time.Duration // earliest batch end in inflight; never when empty
-	timers   []rTimer      // sorted by time, then insertion
+	queue    []int // attempt ids, kept in queueCmp order on insert
+
+	// The calendars: launched attempts' batch ends and admitted attempts'
+	// deadline expiries keyed by attempt id, and client timers keyed by
+	// insertion number (nTimers counts them). An expiry whose attempt has
+	// left the queue is stale and skipped when it reaches the head.
+	done    calendar[struct{}]
+	expire  calendar[struct{}]
+	timers  calendar[rTimer]
+	nTimers int
 
 	// Retry jitter (resilience.go): the serve/retry source, each retried
 	// request's stream while it is unresolved, and the streams of resolved
@@ -152,8 +213,7 @@ type replayLoop struct {
 	now      time.Duration
 	resolved int // requests served, shed or timed out
 
-	// Scratch reused across events and launches.
-	due   []int
+	// Scratch reused across launches.
 	batch []int
 	bkeys []promptKey
 	outs  []int
@@ -180,8 +240,6 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		order:    make([]int, len(reqs)),
 		states:   make([]rState, len(reqs)),
 		attempts: make([]rAttempt, 0, len(reqs)),
-		doneAt:   never,
-		expireAt: never,
 	}
 	if e.cfg.Retry.enabled() {
 		// Retry jitter shares the fault seed's root (zero is a valid seed).
@@ -241,9 +299,7 @@ func (l *replayLoop) run() {
 		// its missed ticks in order.
 		e.maybeAutoscale(l.now)
 		l.completeDue()
-		if l.expireAt <= l.now {
-			l.expireDeadlines()
-		}
+		l.expireDeadlines()
 		l.fireTimers()
 		for l.nextArr < len(l.order) && reqs[l.order[l.nextArr]].Arrival <= l.now {
 			qi := l.order[l.nextArr]
@@ -262,31 +318,11 @@ func (l *replayLoop) run() {
 // id) order: the first completion of a request wins it; later ones were
 // waste.
 func (l *replayLoop) completeDue() {
-	if l.doneAt > l.now {
-		return
-	}
-	due, running := l.due[:0], l.inflight[:0]
-	l.doneAt = never
-	for _, ai := range l.inflight {
-		if end := l.attempts[ai].end(); end <= l.now {
-			due = append(due, ai)
-		} else {
-			running = append(running, ai)
-			l.doneAt = min(l.doneAt, end)
-		}
-	}
-	l.inflight = running
-	slices.SortFunc(due, func(a, b int) int {
-		if c := cmp.Compare(l.attempts[a].end(), l.attempts[b].end()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, ai := range due {
+	for l.done.next() <= l.now {
+		ai := l.done.pop().id
 		l.states[l.attempts[ai].req].live--
 		l.resolveServed(ai)
 	}
-	l.due = due
 }
 
 // resolveServed completes a logical request with attempt ai's batch:
@@ -306,7 +342,7 @@ func (l *replayLoop) resolveServed(ai int) {
 		e.stats.HedgeWins++
 	}
 	rq := l.reqs[a.req]
-	end, wait := a.end(), a.start-a.arrival
+	end, wait := a.start+a.service, a.start-a.arrival
 	n, cached, total := int(a.n), int(a.cached), int(a.total)
 	e.record(a.service, wait, n, cached, total)
 	e.stats.LatencyHist.Observe(end - rq.Arrival)
@@ -353,7 +389,6 @@ func (l *replayLoop) queueAttempt(ai int) {
 		i := sort.Search(n, func(i int) bool { return l.queueCmp(q[i], ai) > 0 })
 		l.queue = slices.Insert(q, i, ai)
 	}
-	l.expireAt = min(l.expireAt, l.expiry(ai))
 }
 
 // oldestQueued is the earliest admission time among queued attempts; never
@@ -467,9 +502,8 @@ func (l *replayLoop) launch() {
 			a := &l.attempts[ai]
 			a.start, a.service, a.ri = l.now, service, int32(ri)
 			a.n, a.cached, a.total = int32(n), int32(members[bi].cached), int32(members[bi].total)
+			l.done.push(end, ai, struct{}{})
 		}
-		l.inflight = append(l.inflight, l.batch...)
-		l.doneAt = min(l.doneAt, end)
 		if end > l.res.Makespan {
 			l.res.Makespan = end
 		}
@@ -481,28 +515,18 @@ func (l *replayLoop) launch() {
 // a restart or warm-up ending), a batching-window expiry, an autoscale tick,
 // or an idle replica's scheduled crash. A batch of zero service time
 // completes at the instant it launched, so the loop stays at now to
-// resolve it.
+// resolve it. Every timer is due after now: fireTimers has run the due
+// ones, and launch adds a retry timer only for a crash-killed attempt whose
+// deadline passes at the crash, which comes after now because queued
+// attempts expiring by now were timed out before the launch.
 func (l *replayLoop) nextEvent() time.Duration {
 	e, now := l.e, l.now
-	if l.doneAt <= now {
+	if l.done.next() <= now {
 		return now
 	}
-	next := never
+	next := min(l.timers.next(), l.nextExpiry())
 	if l.nextArr < len(l.order) {
-		next = l.reqs[l.order[l.nextArr]].Arrival
-	}
-	for _, tm := range l.timers {
-		if tm.at > now {
-			next = min(next, tm.at)
-			break
-		}
-	}
-	if l.expireAt < never {
-		for _, ai := range l.queue {
-			if t := l.expiry(ai); t > now && t < next {
-				next = t
-			}
-		}
+		next = min(next, l.reqs[l.order[l.nextArr]].Arrival)
 	}
 	if len(l.queue) > 0 && e.cfg.MaxBatch > 1 {
 		// Only a future window expiry is an event; an already-expired

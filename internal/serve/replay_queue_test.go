@@ -45,7 +45,6 @@ func TestQueueOrderInvariant(t *testing.T) {
 			l := &replayLoop{
 				e:    New(Config{Replicas: 1, MaxBatch: c.maxBatch}),
 				reqs: reqs, keys: make([]promptKey, nreq), states: make([]rState, nreq),
-				expireAt: never,
 			}
 			var queued, taken []int // the model: queued and taken attempt ids
 			clock := time.Duration(0)
@@ -107,5 +106,42 @@ func TestQueueOrderInvariant(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCalendarOrder drives a calendar with random interleaved pushes and
+// pops whose times tie heavily and whose ids arrive out of order. Every pop
+// must return the least (at, id) entry still held, payload included, next
+// must report that entry's time, and an empty calendar's next is never.
+func TestCalendarOrder(t *testing.T) {
+	st := rng.New(6).NewStream("calendar-ops")
+	const n = 4000
+	ids := st.Perm(n)
+	var c calendar[int]
+	var ref []calEntry[int] // the model, sorted before each pop
+	byKey := func(a, b calEntry[int]) int { return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id)) }
+	for pushed := 0; pushed < n || len(ref) > 0; {
+		if pushed < n && (len(ref) == 0 || st.Intn(5) < 3) {
+			x := calEntry[int]{at: time.Duration(st.Intn(6)), id: ids[pushed], v: pushed}
+			c.push(x.at, x.id, x.v)
+			ref = append(ref, x)
+			pushed++
+		} else {
+			slices.SortFunc(ref, byKey)
+			if got := c.pop(); got != ref[0] {
+				t.Fatalf("after %d pushes: pop = %+v, want %+v", pushed, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		want := never
+		if len(ref) > 0 {
+			want = slices.MinFunc(ref, byKey).at
+		}
+		if got := c.next(); got != want {
+			t.Fatalf("after %d pushes: next = %v, want %v", pushed, got, want)
+		}
+	}
+	if len(c) != 0 || c.next() != never {
+		t.Fatalf("drained calendar holds %d entries, next = %v", len(c), c.next())
 	}
 }

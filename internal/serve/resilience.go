@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"embench/internal/rng"
@@ -67,9 +65,6 @@ type rAttempt struct {
 	hedge            bool  // a hedge duplicate (vs original/retry)
 }
 
-// end is the completion time of the attempt's batch.
-func (a *rAttempt) end() time.Duration { return a.start + a.service }
-
 // rState is one logical request's resilience bookkeeping.
 type rState struct {
 	retries    int32 // retries used (attempt number of the latest wave)
@@ -80,10 +75,9 @@ type rState struct {
 	done       bool
 }
 
-// rTimer is a scheduled future admission event: a retry re-entry or a hedge
-// issue point.
+// rTimer is a scheduled future admission event, the payload of a timers
+// calendar entry: a retry re-entry or a hedge issue point.
 type rTimer struct {
-	at    time.Duration
 	hedge bool // a hedge issue point; otherwise a retry re-entry
 	req   int
 	wave  int32         // hedge: issuing wave (stale timers are ignored)
@@ -117,11 +111,17 @@ func (l *replayLoop) resolveUnserved(req int, t time.Duration, out Outcome) {
 	}
 }
 
-// admit queues a new attempt.
+// admit queues a new attempt and schedules its deadline expiry, if any. A
+// crash re-queue keeps the attempt's arrival, so this one entry stays its
+// expiry for life.
 func (l *replayLoop) admit(a rAttempt) {
 	l.states[a.req].live++
 	l.attempts = append(l.attempts, a)
-	l.queueAttempt(len(l.attempts) - 1)
+	ai := len(l.attempts) - 1
+	l.queueAttempt(ai)
+	if t := l.expiry(ai); t < never {
+		l.expire.push(t, ai, struct{}{})
+	}
 }
 
 // enqueue admits one non-hedge attempt (original or retry) at time t,
@@ -141,16 +141,15 @@ func (l *replayLoop) enqueue(req int, t time.Duration) {
 	st.hedged = false
 	l.admit(rAttempt{req: req, arrival: t})
 	if h := l.e.cfg.Hedge; h.enabled() {
-		l.addTimer(rTimer{at: t + h.Delay, hedge: true, req: req, wave: st.wave})
+		l.addTimer(t+h.Delay, rTimer{hedge: true, req: req, wave: st.wave})
 	}
 }
 
-// addTimer schedules tm. Timers stay sorted by time, and a timer goes
-// after every one already due no later, so same-instant timers fire in
-// insertion order.
-func (l *replayLoop) addTimer(tm rTimer) {
-	i := sort.Search(len(l.timers), func(i int) bool { return l.timers[i].at > tm.at })
-	l.timers = slices.Insert(l.timers, i, tm)
+// addTimer schedules tm at time at; same-instant timers fire in insertion
+// order.
+func (l *replayLoop) addTimer(at time.Duration, tm rTimer) {
+	l.timers.push(at, l.nTimers, tm)
+	l.nTimers++
 }
 
 // maxRetrySpan bounds how long a client keeps retrying: a retry that would
@@ -177,7 +176,7 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 		if back <= maxRetrySpan-(te-l.reqs[req].Arrival) {
 			st.retries++
 			e.stats.Retries++
-			l.addTimer(rTimer{at: te + back, req: req, wave: st.retries, dur: back})
+			l.addTimer(te+back, rTimer{req: req, wave: st.retries, dur: back})
 			return
 		}
 	}
@@ -234,62 +233,60 @@ func (l *replayLoop) expiry(ai int) time.Duration {
 	return never
 }
 
+// nextExpiry is the earliest deadline expiry among queued attempts; never
+// when none has one. Expiries of attempts that have left the queue are
+// dropped as they reach the calendar's head.
+func (l *replayLoop) nextExpiry() time.Duration {
+	for len(l.expire) > 0 {
+		if _, queued := slices.BinarySearchFunc(l.queue, l.expire[0].id, l.queueCmp); queued {
+			break
+		}
+		l.expire.pop()
+	}
+	return l.expire.next()
+}
+
 // expireDeadlines times out queued attempts whose deadline is due by now,
 // in (expiry, id) order.
 func (l *replayLoop) expireDeadlines() {
-	due := l.due[:0]
-	l.expireAt = never
-	l.queue = slices.DeleteFunc(l.queue, func(ai int) bool {
-		t := l.expiry(ai)
-		if t <= l.now {
-			due = append(due, ai)
-			return true
-		}
-		l.expireAt = min(l.expireAt, t)
-		return false
-	})
-	slices.SortFunc(due, func(a, b int) int {
-		if c := cmp.Compare(l.expiry(a), l.expiry(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, ai := range due {
-		l.timeOutAttempt(ai, l.expiry(ai))
+	for l.nextExpiry() <= l.now {
+		x := l.expire.pop()
+		i, _ := slices.BinarySearchFunc(l.queue, x.id, l.queueCmp)
+		l.queue = slices.Delete(l.queue, i, i+1)
+		l.timeOutAttempt(x.id, x.at)
 	}
-	l.due = due
 }
 
 // fireTimers runs the timers due by now (retry re-entries, hedge issue
 // points) in order.
 func (l *replayLoop) fireTimers() {
 	e := l.e
-	for len(l.timers) > 0 && l.timers[0].at <= l.now {
-		tm := l.timers[0]
-		l.timers = l.timers[1:]
+	for l.timers.next() <= l.now {
+		x := l.timers.pop()
+		tm, at := x.v, x.at
 		st := &l.states[tm.req]
 		if st.done {
 			continue
 		}
 		if !tm.hedge {
 			if e.sink != nil {
-				e.emitRetry(int64(tm.req)+1, tm.at, tm.dur, int(tm.wave))
+				e.emitRetry(int64(tm.req)+1, at, tm.dur, int(tm.wave))
 			}
-			l.enqueue(tm.req, tm.at)
+			l.enqueue(tm.req, at)
 			continue
 		}
 		// Stale guards: the request moved to a newer wave, already hedged
 		// this wave, or has no live attempt to hedge. Hedging into an
 		// overloaded queue is counterproductive: the shed policy suppresses
 		// the duplicate silently (the original attempt is unaffected).
-		if tm.wave != st.wave || st.hedged || st.live < 1 || l.shedNow(tm.at, l.reqs[tm.req].Priority) {
+		if tm.wave != st.wave || st.hedged || st.live < 1 || l.shedNow(at, l.reqs[tm.req].Priority) {
 			continue
 		}
 		st.hedged, st.everHedged = true, true
 		e.stats.HedgesIssued++
-		l.admit(rAttempt{req: tm.req, hedge: true, arrival: tm.at})
+		l.admit(rAttempt{req: tm.req, hedge: true, arrival: at})
 		if e.sink != nil {
-			e.emitHedge(int64(tm.req)+1, tm.at)
+			e.emitHedge(int64(tm.req)+1, at)
 		}
 	}
 }

@@ -289,7 +289,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("serve: %s must be 0 or in [%v, %v], got %v", f.name, f.min, maxSpecDuration, f.d)
 		}
 	}
-	return c.Faults.checkRepairGaps()
+	if f := c.Faults; f.MTBF > 0 && f.StragglerEvery > 0 && f.MTTR/maxRepairGaps > f.StragglerEvery {
+		return fmt.Errorf("serve: faults mttr %v spans more than %d straggler gaps of %v", f.MTTR, maxRepairGaps, f.StragglerEvery)
+	}
+	return nil
 }
 
 // withDefaults fills zero fields.

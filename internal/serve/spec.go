@@ -91,11 +91,9 @@ const (
 	// maxStragglerFactor caps the straggler multiplier: a slower replica is
 	// better modelled as down.
 	maxStragglerFactor = 1000
-	// maxRepairGaps caps the crash repair time (mttr) at this many straggler
-	// gaps when both processes run. Straggler windows are drawn on every
-	// replica whether it is up or down, so a longer repair spends the run
-	// drawing windows no batch can start in: mtbf=1s,mttr=10000h,straggle=1s
-	// would draw some 10^8 of them.
+	// maxRepairGaps caps mttr at this many straggler gaps when both fault
+	// processes run: straggler windows are drawn on down replicas too, and
+	// mtbf=1s,mttr=10000h,straggle=1s would draw some 10^8 of them.
 	maxRepairGaps = 100000
 	// minHandoffRate floors a non-zero handoff rate, in tokens/s.
 	minHandoffRate = 1
