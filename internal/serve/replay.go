@@ -109,14 +109,17 @@ const never = time.Duration(1<<63 - 1)
 // and the fleet merge its revealed clients.
 type calendar[T any] []calEntry[T]
 
+// calEntry is one calendar entry; v leads so a zero-size payload adds no
+// padding.
 type calEntry[T any] struct {
+	v  T
 	at time.Duration
 	id int
-	v  T
 }
 
-func (c calendar[T]) less(i, j int) bool {
-	return c[i].at < c[j].at || c[i].at == c[j].at && c[i].id < c[j].id
+// before orders entries by (at, id).
+func (a *calEntry[T]) before(b *calEntry[T]) bool {
+	return a.at < b.at || a.at == b.at && a.id < b.id
 }
 
 // next is the earliest entry's time; never when the calendar is empty.
@@ -128,16 +131,14 @@ func (c calendar[T]) next() time.Duration {
 }
 
 func (c *calendar[T]) push(at time.Duration, id int, v T) {
-	*c = append(*c, calEntry[T]{at, id, v})
-	h := *c
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+	x := calEntry[T]{v: v, at: at, id: id}
+	h := append(*c, x)
+	i := len(h) - 1
+	for p := (i - 1) / 2; i > 0 && x.before(&h[p]); p = (i - 1) / 2 {
+		h[i], i = h[p], p
 	}
+	h[i] = x
+	*c = h
 }
 
 // pop removes and returns the earliest entry; the calendar must not be
@@ -145,19 +146,18 @@ func (c *calendar[T]) push(at time.Duration, id int, v T) {
 func (c *calendar[T]) pop() calEntry[T] {
 	h := *c
 	top, n := h[0], len(h)-1
-	h[0], h = h[n], h[:n]
-	for i, m := 0, 0; ; i = m {
-		for _, k := range []int{2*i + 1, 2*i + 2} {
-			if k < n && h.less(k, m) {
-				m = k
-			}
+	x, i := h[n], 0
+	for m := 1; m < n; m = 2*i + 1 {
+		if m+1 < n && h[m+1].before(&h[m]) {
+			m++
 		}
-		if m == i {
+		if !h[m].before(&x) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i], i = h[m], m
 	}
-	*c = h
+	h[i] = x
+	*c = h[:n]
 	return top
 }
 
@@ -358,7 +358,11 @@ func (l *replayLoop) resolveServed(ai int) {
 	if st.live > 0 {
 		// Cancel queued duplicates for free; they never reached a replica.
 		queued := len(l.queue)
-		l.queue = slices.DeleteFunc(l.queue, func(q int) bool { return l.attempts[q].req == a.req })
+		l.queue = slices.DeleteFunc(l.queue, func(q int) bool {
+			drop := l.attempts[q].req == a.req
+			l.attempts[q].queued = !drop
+			return drop
+		})
 		st.live -= int32(queued - len(l.queue))
 	}
 }
@@ -382,6 +386,7 @@ func (l *replayLoop) queueCmp(a, b int) int {
 // the tail; a higher-priority arrival or a crash re-queue, which keeps its
 // old arrival, is binary-searched into place.
 func (l *replayLoop) queueAttempt(ai int) {
+	l.attempts[ai].queued = true
 	q := l.queue
 	if n := len(q); n == 0 || l.queueCmp(q[n-1], ai) < 0 {
 		l.queue = append(q, ai)
@@ -437,6 +442,7 @@ func (l *replayLoop) takeBatch() {
 			break
 		}
 		if req := l.attempts[ai].req; !l.inBatch(req) {
+			l.attempts[ai].queued = false
 			l.batch = append(l.batch, ai)
 			l.bkeys = append(l.bkeys, l.keys[req])
 			l.outs = append(l.outs, l.reqs[req].OutTokens)

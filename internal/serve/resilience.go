@@ -63,6 +63,7 @@ type rAttempt struct {
 	n, cached, total int32 // batch size; the attempt's cached and total prompt tokens
 	ri               int32 // replica that hosted the batch
 	hedge            bool  // a hedge duplicate (vs original/retry)
+	queued           bool  // in the admission queue now
 }
 
 // rState is one logical request's resilience bookkeeping.
@@ -235,12 +236,9 @@ func (l *replayLoop) expiry(ai int) time.Duration {
 
 // nextExpiry is the earliest deadline expiry among queued attempts; never
 // when none has one. Expiries of attempts that have left the queue are
-// dropped as they reach the calendar's head.
+// stale, and dropped as they reach the calendar's head.
 func (l *replayLoop) nextExpiry() time.Duration {
-	for len(l.expire) > 0 {
-		if _, queued := slices.BinarySearchFunc(l.queue, l.expire[0].id, l.queueCmp); queued {
-			break
-		}
+	for len(l.expire) > 0 && !l.attempts[l.expire[0].id].queued {
 		l.expire.pop()
 	}
 	return l.expire.next()
@@ -253,6 +251,7 @@ func (l *replayLoop) expireDeadlines() {
 		x := l.expire.pop()
 		i, _ := slices.BinarySearchFunc(l.queue, x.id, l.queueCmp)
 		l.queue = slices.Delete(l.queue, i, i+1)
+		l.attempts[x.id].queued = false
 		l.timeOutAttempt(x.id, x.at)
 	}
 }
