@@ -32,12 +32,11 @@ import (
 // # Scale
 //
 // The merge is built to stay cheap at thousands of episodes: revealed
-// pending requests live on a calendar (the replay loop's min-heap) keyed by
-// (arrival, client id), so
-// each admission costs O(log N) instead of a linear rescan, and a served
-// client is woken through its own one-slot channel, so an admission wakes
-// exactly the episode whose request completed instead of broadcasting to
-// all N. An optional Gate (SetGate) additionally bounds how many episode
+// pending requests live on a calendar (the replay loop's min-heap) keyed
+// by (arrival, client id), so each admission costs O(log N) instead of a
+// linear rescan, and a served client is woken through its own one-slot
+// channel, so an admission wakes exactly the episode whose request
+// completed instead of broadcasting to all N. An optional Gate (SetGate) additionally bounds how many episode
 // goroutines execute episode code at once — parked clients release their
 // slot while they wait in the merge — which is what lets a 2048-episode
 // fleet run with a worker-pool's worth of active stacks (see

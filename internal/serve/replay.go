@@ -132,13 +132,13 @@ func (c calendar[T]) next() time.Duration {
 
 func (c *calendar[T]) push(at time.Duration, id int, v T) {
 	x := calEntry[T]{v: v, at: at, id: id}
-	h := append(*c, x)
+	*c = append(*c, x)
+	h := *c
 	i := len(h) - 1
 	for p := (i - 1) / 2; i > 0 && x.before(&h[p]); p = (i - 1) / 2 {
 		h[i], i = h[p], p
 	}
 	h[i] = x
-	*c = h
 }
 
 // pop removes and returns the earliest entry; the calendar must not be
@@ -157,7 +157,7 @@ func (c *calendar[T]) pop() calEntry[T] {
 		h[i], i = h[m], m
 	}
 	h[i] = x
-	*c = h[:n]
+	*c = (*c)[:n]
 	return top
 }
 
