@@ -106,7 +106,8 @@ const never = time.Duration(1<<63 - 1)
 // calendar is the event calendar of the serving loops: a binary min-heap of
 // entries ordered by (at, id), each carrying a payload v. The replay loop
 // keeps its batch completions, deadline expiries and client timers on one,
-// and the fleet merge its revealed clients.
+// and the fleet merge its revealed clients. push and pop resize the slice
+// by self-assignment, which stores only its length: no write barrier.
 type calendar[T any] []calEntry[T]
 
 // calEntry is one calendar entry; v leads so a zero-size payload adds no
