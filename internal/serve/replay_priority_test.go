@@ -26,12 +26,11 @@ func priorityTraffic(tenants int, deadline time.Duration) []Request {
 	return reqs
 }
 
-// TestReplayPriorityGolden replays multi-priority bursty traffic through
-// the resilient loop — deadlines, crashes with stragglers, retry, hedge,
-// priority-1 shedding, the autoscaler and a disaggregated deployment — and
-// pins each cell's ReplayResult and recorded event stream to
-// testdata/replay_priority.golden.
-func TestReplayPriorityGolden(t *testing.T) {
+// priorityCells are the cells of the multi-priority golden: bursty traffic
+// through the resilient loop — deadlines, crashes with stragglers, retry,
+// hedge, priority-1 shedding, the autoscaler and a disaggregated
+// deployment.
+func priorityCells() []propertyCell {
 	base := Config{
 		Profile: llm.GPT4, Replicas: 3, MaxBatch: 4, MaxWait: 500 * time.Millisecond,
 		CacheEntries: 128, CacheTokens: 8192, Identity: IdentityContent,
@@ -73,15 +72,26 @@ func TestReplayPriorityGolden(t *testing.T) {
 			c.Handoff = Handoff{Latency: 40 * time.Millisecond, TokensPerSec: 200000}
 		}},
 	}
-	var b strings.Builder
-	for _, c := range cells {
+	out := make([]propertyCell, len(cells))
+	for i, c := range cells {
 		cfg := base
 		c.edit(&cfg)
-		if err := cfg.Validate(); err != nil {
+		out[i] = propertyCell{name: c.name, cfg: cfg, reqs: priorityTraffic(c.tenants, c.deadline)}
+	}
+	return out
+}
+
+// TestReplayPriorityGolden replays every priority cell and pins each
+// cell's ReplayResult and recorded event stream to
+// testdata/replay_priority.golden.
+func TestReplayPriorityGolden(t *testing.T) {
+	var b strings.Builder
+	for _, c := range priorityCells() {
+		if err := c.cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		rec := obs.NewRecorder()
-		res := ReplayObserved(cfg, priorityTraffic(c.tenants, c.deadline), rec)
+		res := ReplayObserved(c.cfg, c.reqs, rec)
 		events := rec.Events()
 		if err := obs.Validate(events); err != nil {
 			t.Errorf("%s: recorded stream invalid: %v", c.name, err)
