@@ -22,11 +22,8 @@ import (
 // capacity evictions (prefixCache.flush), so scale-down's KV-state loss
 // shows up in EvictedTokens exactly like LRU pressure does.
 //
-// Like everything else in the package the policy is driven by virtual
-// time: in open-loop replay the evaluation clock is part of the event
-// loop, in closed-loop serving it is advanced by the arrival watermark.
-// Decisions are pure functions of endpoint state, so autoscaled runs are
-// byte-identical across reruns and worker counts.
+// The evaluation clock is virtual: part of the event loop in open-loop
+// replay, advanced by the arrival watermark in closed-loop serving.
 type Autoscale struct {
 	// Interval is the evaluation clock period; <= 0 disables autoscaling.
 	Interval time.Duration

@@ -349,13 +349,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("valid monolithic config rejected: %v", err)
 	}
 	bad := map[string]Config{
-		"prefill only":        {Prefill: PoolConfig{Replicas: 2}},
-		"decode only":         {Decode: PoolConfig{Replicas: 2}},
-		"pools plus replicas": {Replicas: 2, Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}},
-		"pools plus autoscale": {
-			Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1},
-			Autoscale: Autoscale{Interval: time.Second, Min: 1, Max: 2},
-		},
+		"prefill only":              {Prefill: PoolConfig{Replicas: 2}},
+		"decode only":               {Decode: PoolConfig{Replicas: 2}},
+		"pools plus replicas":       {Replicas: 2, Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}},
 		"negative prefill replicas": {Prefill: PoolConfig{Replicas: -1}, Decode: PoolConfig{Replicas: 1}},
 		"negative decode batch":     {Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1, MaxBatch: -4}},
 		"negative prefill wait":     {Prefill: PoolConfig{Replicas: 1, MaxWait: -time.Second}, Decode: PoolConfig{Replicas: 1}},

@@ -100,16 +100,15 @@ type Endpoint struct {
 	shard int
 	reqID int64
 	// fx, when non-nil, is the fault-injection state (see faults.go): the
-	// per-replica crash and straggler schedules plus the serving-path hooks
-	// that apply them. nil — the zero-value Faults default — leaves every
-	// path byte-identical to fault-free builds, same contract as sink/dis.
+	// per-replica crash and straggler schedules. nil — the zero-value
+	// Faults default — leaves every path byte-identical to fault-free
+	// builds, same contract as sink/dis.
 	fx *faultState
 	// dis, when non-nil, makes this endpoint a disaggregated parent: every
 	// serving entry point dispatches to the prefill/decode stage pools (see
-	// disagg.go) and the fields above except sink/shard and the
-	// oneCall/oneServed scratch go unused. nil — the default for every
-	// monolithic config — leaves all paths byte-identical to builds
-	// predating disaggregation.
+	// disagg.go), stats holds only what the pools cannot see, and the
+	// fields above except sink/shard and the oneCall/oneServed scratch go
+	// unused. nil is the default for every monolithic config.
 	dis *disaggState
 }
 
@@ -132,25 +131,14 @@ func New(cfg Config) *Endpoint {
 	if cfg.Disaggregated() {
 		d := cfg.withDefaults()
 		d.Replicas = 0 // the monolithic pool does not exist
+		// Each pool bounds the autoscale policy by its own replica count,
+		// so the pools take it before the parent's defaults clamp it.
+		d.Autoscale = cfg.Autoscale
 		return &Endpoint{cfg: d, dis: newDisagg(d)}
 	}
 	cfg = cfg.withDefaults()
-	e := &Endpoint{
-		cfg:      cfg,
-		replicas: make([]replica, cfg.Replicas),
-	}
-	for i := range e.replicas {
-		e.replicas[i].cache = newPrefixCache(cfg.CacheEntries, cfg.CacheTokens)
-	}
-	e.stats.Replicas = cfg.Replicas
-	e.active = cfg.Replicas
-	if cfg.Autoscale.enabled() {
-		e.active = cfg.Autoscale.Min
-		e.asNext = cfg.Autoscale.Interval
-	}
-	if cfg.Faults.enabled() {
-		e.fx = newFaultState(cfg.Faults, cfg.Replicas)
-	}
+	e := &Endpoint{cfg: cfg, replicas: make([]replica, cfg.Replicas)}
+	e.Reset()
 	return e
 }
 
@@ -176,12 +164,11 @@ func (e *Endpoint) Config() Config { return e.cfg }
 // Stats reports accumulated serving statistics, including the per-replica
 // request spread and the cache-memory rollup (peak live tokens across
 // replicas, total capacity-evicted tokens). In-flight frontier batches'
-// member latencies are folded into the returned snapshot's histogram (the
-// endpoint's own buffers are left alone, so a later join can still restate
-// them).
+// member latencies are folded into the snapshot's histogram, not the
+// endpoint's, so a later join can still restate them.
 func (e *Endpoint) Stats() metrics.Serving {
 	if e.dis != nil {
-		return e.dis.fold()
+		return e.dis.fold(e.stats)
 	}
 	s := e.stats
 	s.ReplicaRequests = make([]int, len(e.replicas))
@@ -220,12 +207,13 @@ func (e *Endpoint) sealFrontier(r *replica) {
 // read at episode end; for a dedicated endpoint it is simply Stats.
 func (e *Endpoint) ServingStats() metrics.Serving { return e.Stats() }
 
-// Reset clears timeline, caches, statistics and autoscaler state for reuse.
+// Reset clears timeline, caches, statistics and autoscaler state for reuse;
+// New builds every endpoint through it.
 func (e *Endpoint) Reset() {
 	if e.dis != nil {
 		e.dis.prefill.Reset()
 		e.dis.decode.Reset()
-		e.dis.stats = metrics.Serving{}
+		e.stats = metrics.Serving{}
 		e.reqID = 0
 		return
 	}
@@ -241,8 +229,13 @@ func (e *Endpoint) Reset() {
 		e.asNext = e.cfg.Autoscale.Interval
 	}
 	if e.cfg.Faults.enabled() {
-		// Fresh streams: a reset endpoint replays the same fault schedule.
-		e.fx = newFaultState(e.cfg.Faults, e.cfg.Replicas)
+		// Fresh streams: a reset endpoint replays the same fault schedule
+		// on the same deployment slots.
+		first := 0
+		if e.fx != nil {
+			first = e.fx.first
+		}
+		e.fx = newFaultState(e.cfg.Faults, e.cfg.Replicas, first)
 	}
 }
 
@@ -474,7 +467,7 @@ func (e *Endpoint) launch(r *replica, arrival time.Duration, calls []llm.Call, k
 		if f > 1 {
 			service = time.Duration(float64(service) * f)
 		}
-		w, hit := e.crashIn(fi, start, start+service)
+		w, hit := e.crashIn(fi, start+service)
 		if !hit {
 			e.fx.clocks[fi].batchFactor = f
 			break

@@ -111,10 +111,7 @@ func ParseFaults(s string) (Faults, error) {
 
 // RetryPolicy re-issues a replayed request after a deadline timeout:
 // exponential backoff with seeded jitter, bounded by a per-request budget.
-// The zero value disables retries. Client resilience acts in open-loop
-// replay (serve.Replay — the front-door model); closed-loop episode serving
-// resolves calls synchronously and is covered by server-side crash
-// re-admission instead.
+// The zero value disables retries.
 type RetryPolicy struct {
 	// Max is the per-request retry budget; <= 0 disables retries.
 	Max int
@@ -256,20 +253,21 @@ type faultClock struct {
 type faultState struct {
 	cfg    Faults
 	clocks []faultClock
+	first  int // deployment slot of replica 0
 }
 
-// newFaultState seeds one clock per pool replica. Stream names are indexed
-// by replica slot, so replica i's schedule is independent of the pool size
-// and of every other replica's.
-func newFaultState(cfg Faults, replicas int) *faultState {
-	fx := &faultState{cfg: cfg, clocks: make([]faultClock, replicas)}
+// newFaultState seeds one clock per pool replica, replica i on deployment
+// slot first+i. Stream names are indexed by slot, so a slot's schedule is
+// independent of the pool size and of every other slot's.
+func newFaultState(cfg Faults, replicas, first int) *faultState {
+	fx := &faultState{cfg: cfg, clocks: make([]faultClock, replicas), first: first}
 	src := rng.New(cfg.Seed).Sub("serve/faults")
 	for i := range fx.clocks {
 		if cfg.MTBF > 0 {
-			fx.clocks[i].st = src.NewStream(fmt.Sprintf("replica-%d", i))
+			fx.clocks[i].st = src.NewStream(fmt.Sprintf("replica-%d", first+i))
 		}
 		if cfg.StragglerEvery > 0 {
-			fx.clocks[i].stragSt = src.NewStream(fmt.Sprintf("straggler-%d", i))
+			fx.clocks[i].stragSt = src.NewStream(fmt.Sprintf("straggler-%d", first+i))
 		}
 	}
 	return fx
@@ -358,21 +356,16 @@ func (e *Endpoint) crashReplica(r *replica, ri int, w faultWindow, killed int) {
 }
 
 // crashIn pops and returns the first scheduled crash window intersecting
-// the batch span [start, end) on replica ri. The caller MUST apply a hit
-// via crashReplica — the window is consumed. applyFaults has already run at
-// the span's routing time, so pending windows never start before start.
-func (e *Endpoint) crashIn(ri int, start, end time.Duration) (faultWindow, bool) {
-	c := &e.fx.clocks[ri]
-	if c.st == nil {
-		return faultWindow{}, false
+// a batch span ending at end on replica ri (see crashWould). The caller
+// MUST apply a hit via crashReplica — the window is consumed. applyFaults
+// has already run at the span's routing time, so pending windows never
+// start before the span does.
+func (e *Endpoint) crashIn(ri int, end time.Duration) (w faultWindow, hit bool) {
+	if hit = e.crashWould(ri, end); hit {
+		c := &e.fx.clocks[ri]
+		w, c.pending = c.pending[0], c.pending[1:]
 	}
-	c.gen(e.fx.cfg, end)
-	if len(c.pending) > 0 && c.pending[0].start < end {
-		w := c.pending[0]
-		c.pending = c.pending[1:]
-		return w, true
-	}
-	return faultWindow{}, false
+	return w, hit
 }
 
 // crashWould reports, without consuming anything, whether a batch ending at

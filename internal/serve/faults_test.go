@@ -212,22 +212,27 @@ func TestRetryBackoffSaturates(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsResilientDisagg pins the scope boundary: fault
-// injection and client resilience are monolithic-endpoint features, so a
-// disaggregated config carrying either must fail validation loudly.
-func TestValidateRejectsResilientDisagg(t *testing.T) {
-	base := Config{Profile: noJitter, Replicas: 2,
+// TestValidateAcceptsResilientDisagg pins the scope boundary: faults, the
+// autoscaler and client resilience compose with disaggregated pools, and
+// only a monolithic replica count beside the pools is a contradiction.
+func TestValidateAcceptsResilientDisagg(t *testing.T) {
+	base := Config{Profile: noJitter,
 		Prefill: PoolConfig{Replicas: 1}, Decode: PoolConfig{Replicas: 1}}
 	for name, mut := range map[string]func(*Config){
-		"faults": func(c *Config) { c.Faults = Faults{MTBF: time.Minute} },
-		"retry":  func(c *Config) { c.Retry = RetryPolicy{Max: 1} },
-		"hedge":  func(c *Config) { c.Hedge = HedgePolicy{Delay: time.Second} },
-		"shed":   func(c *Config) { c.Shed = ShedPolicy{Queue: 1} },
+		"faults":    func(c *Config) { c.Faults = Faults{MTBF: time.Minute} },
+		"autoscale": func(c *Config) { c.Autoscale = Autoscale{Interval: time.Second, Max: 2} },
+		"retry":     func(c *Config) { c.Retry = RetryPolicy{Max: 1} },
+		"hedge":     func(c *Config) { c.Hedge = HedgePolicy{Delay: time.Second} },
+		"shed":      func(c *Config) { c.Shed = ShedPolicy{Queue: 1} },
 	} {
 		cfg := base
 		mut(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s + disaggregation rejected: %v", name, err)
+		}
+		cfg.Replicas = 2
 		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s + disaggregation validated; want an error", name)
+			t.Errorf("%s + disaggregation + Replicas 2 validated; want an error", name)
 		}
 	}
 }
@@ -260,7 +265,7 @@ func TestThroughputCountsServedOnly(t *testing.T) {
 // TestRetryTimesStayRepresentable: a retry budget in the hundreds against
 // replicas that are almost always down would spend hundreds of saturated
 // backoffs, whose sum is past time.Duration's range. Retries stop at
-// maxRetrySpan after arrival instead of wrapping negative, so every
+// maxSpecDuration after arrival instead of wrapping negative, so every
 // resolution comes after its arrival, within the span plus one deadline,
 // and the makespan and downtime stay non-negative.
 func TestRetryTimesStayRepresentable(t *testing.T) {
@@ -277,7 +282,7 @@ func TestRetryTimesStayRepresentable(t *testing.T) {
 		if c.Done < c.Arrival {
 			t.Errorf("request %d (%s): Done %v before Arrival %v", i, c.Outcome, c.Done, c.Arrival)
 		}
-		if c.Done-c.Arrival > maxRetrySpan+reqs[i].Deadline {
+		if c.Done-c.Arrival > maxSpecDuration+reqs[i].Deadline {
 			t.Errorf("request %d: resolved %v after arrival, past the retry span", i, c.Done-c.Arrival)
 		}
 	}

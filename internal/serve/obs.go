@@ -34,14 +34,14 @@ func (e *Endpoint) setSinkShard(s obs.Sink, shard int) {
 		// A disaggregated parent wires the shared sink to its stage pools
 		// through stageSink tags; the pools' own config events (Stage
 		// "prefill"/"decode") describe the deployment, so the parent emits
-		// none of its own. The parent keeps the raw sink for handoff events.
-		if s == nil {
-			e.dis.prefill.setSinkShard(nil, shard)
-			e.dis.decode.setSinkShard(nil, shard)
-			return
+		// none of its own. The parent keeps the raw sink for handoff and
+		// client-policy events.
+		var pre, dec obs.Sink
+		if s != nil {
+			pre, dec = stageSink{sink: s, stage: "prefill"}, stageSink{sink: s, stage: "decode", dropSubmit: true}
 		}
-		e.dis.prefill.setSinkShard(stageSink{sink: s, stage: "prefill"}, shard)
-		e.dis.decode.setSinkShard(stageSink{sink: s, stage: "decode", dropSubmit: true}, shard)
+		e.dis.prefill.setSinkShard(pre, shard)
+		e.dis.decode.setSinkShard(dec, shard)
 		return
 	}
 	if s == nil {
@@ -255,9 +255,8 @@ func TraceRequests(events []obs.Event) ([]Request, error) {
 }
 
 // ReplayObserved is Replay with a flight-recorder sink attached to the
-// replaying endpoint: submit events for every trace entry up front, then
-// route/cache/batch_start per launch and complete per served request (see
-// replayOn). A nil sink is exactly Replay.
+// replaying endpoint (see replayOn for the events). A nil sink is exactly
+// Replay.
 func ReplayObserved(cfg Config, reqs []Request, sink obs.Sink) ReplayResult {
 	e := New(cfg)
 	if sink != nil {

@@ -19,26 +19,26 @@ type Request struct {
 	Prompt    prompt.Prompt
 	OutTokens int
 	// Deadline is the client's per-attempt timeout: an attempt whose batch
-	// has not LAUNCHED within Deadline of the attempt entering admission is
-	// abandoned (an in-flight batch always runs to completion). Expiry
-	// triggers the config's RetryPolicy while budget remains; otherwise the
-	// request resolves timed-out. 0 — the default — means no deadline, and a
-	// trace without deadlines skips the loop's deadline scans entirely.
+	// has not LAUNCHED within Deadline of the attempt entering its stage's
+	// queue is abandoned (an in-flight batch always runs to completion).
+	// Expiry triggers the config's RetryPolicy while budget remains;
+	// otherwise the request resolves timed-out. 0 — the default — means no
+	// deadline.
 	Deadline time.Duration
 }
 
 // Completion describes how one replayed request was served. On a
-// monolithic endpoint Start/Done bracket the request's single batch and
+// monolithic endpoint Start/Done bracket the request's winning batch and
 // the stage fields stay zero; on a disaggregated endpoint Start is the
 // PREFILL batch launch, PrefillDone its completion, Done the DECODE batch
 // completion, QueueWait the prefill-pool wait and DecodeWait the
-// decode-pool wait (so Start - Arrival still equals QueueWait, per stage).
+// decode-pool wait.
 type Completion struct {
 	Agent        string
 	Arrival      time.Duration
 	Start        time.Duration // batch launch time
 	Done         time.Duration // batch completion time
-	QueueWait    time.Duration // Start - Arrival
+	QueueWait    time.Duration // Start - the winning attempt's arrival
 	BatchSize    int           // sequences in the request's (decode) batch
 	PromptTokens int
 	CachedTokens int
@@ -90,9 +90,10 @@ func (r ReplayResult) Throughput() float64 {
 // priority/FIFO queue, and batches of up to MaxBatch launch on an idle
 // replica (picked by the routing policy) when the batch is full, when the
 // oldest queued request has waited MaxWait, or when no further arrivals
-// are pending. Fault injection and the client policies (Request.Deadline,
-// RetryPolicy, HedgePolicy, ShedPolicy) act inside the same loop; with none
-// of them configured every request is one attempt served in one batch.
+// are pending. Disaggregated pools, fault injection and the client policies
+// (Request.Deadline, RetryPolicy, HedgePolicy, ShedPolicy) act inside the
+// same loop; with none of them configured every request is one attempt
+// served in one batch.
 // Batch pricing goes through the same admission helper as closed-loop
 // serving, so a trace costs the same in either mode. All ties break on
 // submission order, so the replay is a pure function of (cfg, reqs).
@@ -180,8 +181,7 @@ func replicaSpan(n int, d time.Duration) time.Duration {
 }
 
 // replayLoop is the state of one open-loop replay. The unit of scheduling
-// is an attempt (see resilience.go): a policy-free replay has exactly one
-// attempt per request.
+// is an attempt (see resilience.go).
 type replayLoop struct {
 	e    *Endpoint
 	reqs []Request
@@ -193,16 +193,19 @@ type replayLoop struct {
 
 	states   []rState
 	attempts []rAttempt
-	queue    []int // attempt ids, kept in queueCmp order on insert
+	// pools are the stages an attempt passes through: the endpoint itself,
+	// or a disaggregated endpoint's prefill and decode pools (disagg.go).
+	pools []rPool
 
-	// The calendars: launched attempts' batch ends and admitted attempts'
-	// deadline expiries keyed by attempt id, and client timers keyed by
-	// insertion number (nTimers counts them). An expiry whose attempt has
-	// left the queue is stale and skipped when it reaches the head.
+	// The calendars: batch ends and deadline expiries keyed by attempt id
+	// (an expiry whose attempt has left the queue is stale, and skipped at
+	// the head), client timers keyed by insertion number (nTimers counts
+	// them), and handoffs keyed by enterID.
 	done    calendar[struct{}]
 	expire  calendar[struct{}]
 	timers  calendar[rTimer]
 	nTimers int
+	enter   calendar[int]
 
 	// Retry jitter (resilience.go): the serve/retry source, each retried
 	// request's stream while it is unresolved, and the streams of resolved
@@ -220,27 +223,35 @@ type replayLoop struct {
 	outs  []int
 }
 
-// replayOn is Replay over an already built endpoint (Replay and
-// ReplayObserved share it; replayDisagg runs it once per stage pool). With
-// a flight-recorder sink attached, submit events for the whole trace go out
+// rPool is one stage pool of the loop.
+type rPool struct {
+	e       *Endpoint
+	queue   []int // attempt ids, kept in queueCmp order on insert
+	busy    int   // attempts in launched batches not yet complete
+	inbound int   // enter entries that will queue here
+}
+
+// replayOn is Replay over an already built endpoint. With a
+// flight-recorder sink attached, submit events for the whole trace go out
 // up front in arrival order — so an exported replay trace is itself
 // replayable — each launch emits route/cache/batch_start, and each served
-// request a complete event at its batch's end. Open-loop batches never grow
-// after launch, so no batch_seal is emitted.
+// request a complete event per stage. Open-loop batches never grow after
+// launch, so no batch_seal is emitted.
 func replayOn(e *Endpoint, reqs []Request) ReplayResult {
-	if e.dis != nil {
-		return replayDisagg(e, reqs)
-	}
 	res := ReplayResult{Completions: make([]Completion, len(reqs))}
 	if len(reqs) == 0 {
 		return res
 	}
+	pools := []rPool{{e: e}}
+	if e.dis != nil {
+		pools = []rPool{{e: e.dis.prefill}, {e: e.dis.decode}}
+	}
 	l := &replayLoop{
-		e: e, reqs: reqs, res: &res,
+		e: e, reqs: reqs, res: &res, pools: pools,
 		keys:     make([]promptKey, len(reqs)),
 		order:    make([]int, len(reqs)),
 		states:   make([]rState, len(reqs)),
-		attempts: make([]rAttempt, 0, len(reqs)),
+		attempts: make([]rAttempt, 0, len(reqs)*len(pools)),
 	}
 	if e.cfg.Retry.enabled() {
 		// Retry jitter shares the fault seed's root (zero is a valid seed).
@@ -254,10 +265,8 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		l.order[i] = i
 	}
 	// Arrival order with an explicit total tie-break: (arrival, priority,
-	// submission index). Generated traffic interleaves many tenants' seeded
-	// arrival processes and equal arrivals DO occur — the order they enter
-	// the admission queue must be pinned by the trace itself, never by sort
-	// internals.
+	// submission index). Equal arrivals DO occur in generated traffic, and
+	// the trace itself, never sort internals, must pin their order.
 	slices.SortFunc(l.order, func(a, b int) int {
 		if c := cmp.Compare(reqs[a].Arrival, reqs[b].Arrival); c != 0 {
 			return c
@@ -267,47 +276,53 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		}
 		return cmp.Compare(a, b)
 	})
-	if e.sink != nil {
+	if first := pools[0].e; first.sink != nil {
 		for _, qi := range l.order {
 			rq := reqs[qi]
-			e.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
+			first.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
 		}
 	}
 	l.now = reqs[l.order[0]].Arrival
 	l.run()
-	if e.fx != nil {
-		// Drain downtime accounting through the end of the run: windows
-		// opening after the last served batch still count as downtime
-		// inside the horizon actually simulated.
-		e.applyFaults(res.Makespan)
+	for _, p := range pools {
+		if p.e.fx != nil {
+			// Windows opening after the last batch still count as downtime
+			// inside the simulated horizon.
+			p.e.applyFaults(res.Makespan)
+		}
+		p.e.finishAutoscale(res.Makespan)
 	}
-	e.finishAutoscale(res.Makespan)
 	res.Stats = e.Stats()
 	return res
 }
 
 // run processes events until every request has resolved. Same-instant
 // events go in a fixed category order — completions, deadline expiries,
-// timers, arrivals, launches — each with index tie-breaks.
+// timers, arrivals (handoffs first, then the trace's), launches (prefill
+// pool first) — each with index tie-breaks.
 func (l *replayLoop) run() {
-	e, reqs := l.e, l.reqs
+	reqs := l.reqs
 	for l.resolved < len(reqs) {
-		if e.fx != nil {
-			e.applyFaults(l.now)
+		for _, p := range l.pools {
+			if p.e.fx != nil {
+				p.e.applyFaults(l.now)
+			}
+			// Replay every autoscale tick up to now before routing, so a
+			// long arrival gap replays its missed ticks in order.
+			p.e.maybeAutoscale(l.now)
 		}
-		// Replay every autoscale evaluation tick up to now before routing:
-		// ticks are pure virtual-time events, so a long arrival gap replays
-		// its missed ticks in order.
-		e.maybeAutoscale(l.now)
 		l.completeDue()
 		l.expireDeadlines()
 		l.fireTimers()
+		l.enterDue()
 		for l.nextArr < len(l.order) && reqs[l.order[l.nextArr]].Arrival <= l.now {
 			qi := l.order[l.nextArr]
 			l.nextArr++
 			l.enqueue(qi, reqs[qi].Arrival)
 		}
-		l.launch()
+		for s := range l.pools {
+			l.launch(s)
+		}
 		if l.resolved >= len(reqs) {
 			break
 		}
@@ -315,14 +330,37 @@ func (l *replayLoop) run() {
 	}
 }
 
-// completeDue resolves every batch completion due by now in (end, attempt
-// id) order: the first completion of a request wins it; later ones were
-// waste.
+// completeDue handles every batch completion due by now in (end, attempt
+// id) order: a prefill completion hands off to the decode pool, and the
+// first last-stage completion of a request wins it.
 func (l *replayLoop) completeDue() {
 	for l.done.next() <= l.now {
 		ai := l.done.pop().id
-		l.states[l.attempts[ai].req].live--
+		a := &l.attempts[ai]
+		l.pools[a.stage].busy--
+		if int(a.stage)+1 < len(l.pools) && !l.states[a.req].done {
+			l.handoff(ai)
+			continue
+		}
+		l.states[a.req].live--
 		l.resolveServed(ai)
+	}
+}
+
+// serveStage folds attempt ai's batch into its pool's flow statistics and
+// emits its complete event, with the latency counted from the request's
+// arrival at the stage.
+func (l *replayLoop) serveStage(ai int) {
+	a, rq := &l.attempts[ai], l.reqs[l.attempts[ai].req]
+	e, from := l.pools[a.stage].e, a.arrival
+	if a.stage == 0 {
+		from = rq.Arrival
+	}
+	end, wait := a.start+a.service, a.start-a.arrival
+	n, cached, total := int(a.n), int(a.cached), int(a.total)
+	e.record(a.service, wait, n, cached, total)
+	if e.sink != nil {
+		e.emitComplete(int64(a.req)+1, rq.Agent, int(a.ri), end, end-from, wait, n, cached, total)
 	}
 }
 
@@ -342,30 +380,45 @@ func (l *replayLoop) resolveServed(ai int) {
 	if a.hedge {
 		e.stats.HedgeWins++
 	}
-	rq := l.reqs[a.req]
-	end, wait := a.start+a.service, a.start-a.arrival
-	n, cached, total := int(a.n), int(a.cached), int(a.total)
-	e.record(a.service, wait, n, cached, total)
+	rq, end := l.reqs[a.req], a.start+a.service
+	pre := a // the attempt that ran the prefill
+	if a.stage > 0 {
+		pre = &l.attempts[a.prev]
+		l.serveStage(int(a.prev))
+		e.stats.QueueWaitHist.Observe(pre.start - pre.arrival + a.start - a.arrival)
+	}
+	l.serveStage(ai)
 	e.stats.LatencyHist.Observe(end - rq.Arrival)
-	l.res.Completions[a.req] = Completion{
-		Agent: rq.Agent, Arrival: rq.Arrival, Start: a.start, Done: end,
-		QueueWait: wait, BatchSize: n,
-		PromptTokens: total, CachedTokens: cached,
+	c := Completion{
+		Agent: rq.Agent, Arrival: rq.Arrival, Start: pre.start, Done: end,
+		QueueWait: pre.start - pre.arrival, BatchSize: int(a.n),
+		PromptTokens: int(pre.total), CachedTokens: int(pre.cached),
 		Retries: int(st.retries), Hedged: st.everHedged,
 	}
-	if e.sink != nil {
-		e.emitComplete(int64(a.req)+1, rq.Agent, int(a.ri), end, end-rq.Arrival, wait, n, cached, total)
+	if a.stage > 0 {
+		c.PrefillDone, c.DecodeWait = pre.start+pre.service, a.start-a.arrival
 	}
-	if st.live > 0 {
+	l.res.Completions[a.req] = c
+	for i := 0; st.live > 0 && i < len(l.pools); i++ {
 		// Cancel queued duplicates for free; they never reached a replica.
-		queued := len(l.queue)
-		l.queue = slices.DeleteFunc(l.queue, func(q int) bool {
+		p := &l.pools[i]
+		queued := len(p.queue)
+		p.queue = slices.DeleteFunc(p.queue, func(q int) bool {
 			drop := l.attempts[q].req == a.req
 			l.attempts[q].queued = !drop
 			return drop
 		})
-		st.live -= int32(queued - len(l.queue))
+		st.live -= int32(queued - len(p.queue))
 	}
+}
+
+// key is the prefix chain attempt ai brings to its pool: a decode attempt
+// carries no prompt across the handoff.
+func (l *replayLoop) key(ai int) promptKey {
+	if a := &l.attempts[ai]; a.stage == 0 {
+		return l.keys[a.req]
+	}
+	return promptKey{}
 }
 
 // prio is attempt ai's priority class.
@@ -382,29 +435,29 @@ func (l *replayLoop) queueCmp(a, b int) int {
 	return cmp.Compare(a, b)
 }
 
-// queueAttempt inserts attempt ai at its place in the queue. New arrivals,
-// retries and hedges are the newest attempts and nearly always belong at
-// the tail; a higher-priority arrival or a crash re-queue, which keeps its
-// old arrival, is binary-searched into place.
+// queueAttempt inserts attempt ai at its place in its stage's queue. New
+// arrivals, retries and hedges are the newest attempts and nearly always
+// belong at the tail; a higher-priority arrival or a crash re-queue, which
+// keeps its old arrival, is binary-searched into place.
 func (l *replayLoop) queueAttempt(ai int) {
 	l.attempts[ai].queued = true
-	q := l.queue
+	p := &l.pools[l.attempts[ai].stage]
+	q := p.queue
 	if n := len(q); n == 0 || l.queueCmp(q[n-1], ai) < 0 {
-		l.queue = append(q, ai)
+		p.queue = append(q, ai)
 	} else {
 		i := sort.Search(n, func(i int) bool { return l.queueCmp(q[i], ai) > 0 })
-		l.queue = slices.Insert(q, i, ai)
+		p.queue = slices.Insert(q, i, ai)
 	}
 }
 
-// oldestQueued is the earliest admission time among queued attempts; never
-// when the queue is empty. Within a priority class the queue is in arrival
-// order, so only each class's head can hold the oldest: the scan hops from
-// head to head by binary search, and stops at once when the head's class
-// runs to the tail.
-func (l *replayLoop) oldestQueued() time.Duration {
+// oldestQueued is the earliest admission time in queue q; never when it is
+// empty. Within a priority class a queue is in arrival order, so the scan
+// hops from class head to class head by binary search, and stops at once
+// when the head's class runs to the tail.
+func (l *replayLoop) oldestQueued(q []int) time.Duration {
 	oldest := never
-	for q := l.queue; len(q) > 0; {
+	for len(q) > 0 {
 		oldest = min(oldest, l.attempts[q[0]].arrival)
 		p := l.prio(q[0])
 		if l.prio(q[len(q)-1]) == p {
@@ -415,43 +468,48 @@ func (l *replayLoop) oldestQueued() time.Duration {
 	return oldest
 }
 
-// shouldLaunch is the batching policy: launch when batches are unbatched or
-// full, when nothing else can arrive (waiting is pure loss), or when the
-// oldest queued attempt has waited MaxWait.
-func (l *replayLoop) shouldLaunch() bool {
-	cfg := &l.e.cfg
-	if cfg.MaxBatch <= 1 || len(l.queue) >= cfg.MaxBatch {
+// shouldLaunch is pool s's batching policy: launch when batches are
+// unbatched or full, when the oldest queued attempt has waited MaxWait, or
+// when nothing else can reach the queue (waiting is pure loss): no trace
+// arrival, client timer or enter entry is pending for s or an earlier pool,
+// and every earlier pool is empty and idle.
+func (l *replayLoop) shouldLaunch(s int) bool {
+	p := &l.pools[s]
+	cfg := &p.e.cfg
+	if cfg.MaxBatch <= 1 || len(p.queue) >= cfg.MaxBatch {
 		return true
 	}
-	if l.nextArr >= len(l.order) && len(l.timers) == 0 {
-		return true
+	drained := l.nextArr >= len(l.order) && len(l.timers) == 0
+	for i := 0; drained && i <= s; i++ {
+		q := &l.pools[i]
+		drained = q.inbound == 0 && (i == s || len(q.queue) == 0 && q.busy == 0)
 	}
-	return l.now-l.oldestQueued() >= cfg.MaxWait
+	return drained || l.now-l.oldestQueued(p.queue) >= cfg.MaxWait
 }
 
-// takeBatch moves up to MaxBatch attempts from the head of the queue into
+// takeBatch moves up to MaxBatch attempts from the head of p's queue into
 // l.batch, with their prefix chains and generation lengths in l.bkeys and
 // l.outs. A batch never carries two attempts of the same request (racing
 // your own duplicate inside one batch is pure waste); skipped duplicates
 // stay queued.
-func (l *replayLoop) takeBatch() {
+func (l *replayLoop) takeBatch(p *rPool) {
 	l.batch, l.bkeys, l.outs = l.batch[:0], l.bkeys[:0], l.outs[:0]
-	rest := l.queue[:0]
-	for i, ai := range l.queue {
-		if len(l.batch) == l.e.cfg.MaxBatch {
-			rest = append(rest, l.queue[i:]...)
+	rest := p.queue[:0]
+	for i, ai := range p.queue {
+		if len(l.batch) == p.e.cfg.MaxBatch {
+			rest = append(rest, p.queue[i:]...)
 			break
 		}
 		if req := l.attempts[ai].req; !l.inBatch(req) {
 			l.attempts[ai].queued = false
 			l.batch = append(l.batch, ai)
-			l.bkeys = append(l.bkeys, l.keys[req])
+			l.bkeys = append(l.bkeys, l.key(ai))
 			l.outs = append(l.outs, l.reqs[req].OutTokens)
 		} else {
 			rest = append(rest, ai)
 		}
 	}
-	l.queue = rest
+	p.queue = rest
 }
 
 // inBatch reports whether l.batch already holds an attempt of request req.
@@ -468,16 +526,18 @@ func (l *replayLoop) inBatch(req int) bool {
 	return false
 }
 
-// launch starts batches while an idle replica and the batching policy
-// allow; the routing policy picks which idle replica hosts each batch.
-func (l *replayLoop) launch() {
-	e := l.e
-	for len(l.queue) > 0 && l.shouldLaunch() {
-		r := e.routeIdle(l.now, l.keys[l.attempts[l.queue[0]].req])
+// launch starts batches in pool s while an idle replica and the batching
+// policy allow; the routing policy picks which idle replica hosts each
+// batch.
+func (l *replayLoop) launch(s int) {
+	p := &l.pools[s]
+	e := p.e
+	for len(p.queue) > 0 && l.shouldLaunch(s) {
+		r := e.routeIdle(l.now, l.key(p.queue[0]))
 		if r == nil {
 			return
 		}
-		l.takeBatch()
+		l.takeBatch(p)
 		n, ri := len(l.batch), e.rindex(r)
 		var evBefore int
 		if e.sink != nil {
@@ -489,8 +549,8 @@ func (l *replayLoop) launch() {
 			if f := e.stragFactor(ri, l.now); f > 1 {
 				service = time.Duration(float64(service) * f)
 			}
-			if w, hit := e.crashIn(ri, l.now, l.now+service); hit {
-				l.crashBatch(r, ri, w)
+			if w, hit := e.crashIn(ri, l.now+service); hit {
+				l.crashBatch(e, r, ri, w)
 				continue
 			}
 		}
@@ -498,6 +558,7 @@ func (l *replayLoop) launch() {
 		r.startBatch(l.now, end, n, totalEff, maxOut, service)
 		e.busyAcc += service
 		l.res.Batches++
+		p.busy += n
 		if e.sink != nil {
 			for bi, ai := range l.batch {
 				e.emitCache(int64(l.attempts[ai].req)+1, l.now, ri, members[bi].cached, members[bi].total)
@@ -517,45 +578,46 @@ func (l *replayLoop) launch() {
 	}
 }
 
-// nextEvent is the earliest future event: an arrival, a timer, a queued
-// attempt's deadline, a replica freeing (an in-flight batch completing, or
-// a restart or warm-up ending), a batching-window expiry, an autoscale tick,
-// or an idle replica's scheduled crash. A batch of zero service time
-// completes at the instant it launched, so the loop stays at now to
-// resolve it. Every timer is due after now: fireTimers has run the due
-// ones, and launch adds a retry timer only for a crash-killed attempt whose
-// deadline passes at the crash, which comes after now because queued
-// attempts expiring by now were timed out before the launch.
+// nextEvent is the earliest future event: an arrival, a timer, an enter
+// entry, a queued attempt's deadline, and per pool a replica freeing (an
+// in-flight batch completing, or a restart or warm-up ending), a
+// batching-window expiry, an autoscale tick, or an idle replica's scheduled
+// crash. A batch of zero service time completes at the instant it
+// launched, so the loop stays at now to resolve it.
 func (l *replayLoop) nextEvent() time.Duration {
-	e, now := l.e, l.now
+	now := l.now
 	if l.done.next() <= now {
 		return now
 	}
-	next := min(l.timers.next(), l.nextExpiry())
+	next := min(l.timers.next(), l.nextExpiry(), l.enter.next())
 	if l.nextArr < len(l.order) {
 		next = min(next, l.reqs[l.order[l.nextArr]].Arrival)
 	}
-	if len(l.queue) > 0 && e.cfg.MaxBatch > 1 {
-		// Only a future window expiry is an event; an already-expired
-		// window means the queue is waiting on a replica, not on time.
-		if t := l.oldestQueued() + e.cfg.MaxWait; t > now && t < next {
+	for i := range l.pools {
+		p := &l.pools[i]
+		e := p.e
+		if len(p.queue) > 0 && e.cfg.MaxBatch > 1 {
+			// Only a future window expiry is an event; an already-expired
+			// window means the queue is waiting on a replica, not on time.
+			if t := l.oldestQueued(p.queue) + e.cfg.MaxWait; t > now && t < next {
+				next = t
+			}
+		}
+		// Only active replicas are schedulable events: a warming replica's
+		// freeAt (its cold-start expiry) counts, a parked one's does not.
+		for ri := range e.replicas[:e.active] {
+			if t := e.replicas[ri].freeAt; t > now && t < next {
+				next = t
+			}
+		}
+		if e.cfg.Autoscale.enabled() && e.asNext > now && e.asNext < next {
+			// The next evaluation tick can change the active set (waking a
+			// queue that is waiting on capacity), so it is an event too.
+			next = e.asNext
+		}
+		if t, ok := e.nextFault(now); ok && t < next {
 			next = t
 		}
-	}
-	// Only active replicas are schedulable events: a warming replica's
-	// freeAt (its cold-start expiry) counts, a parked one's does not.
-	for ri := range e.replicas[:e.active] {
-		if t := e.replicas[ri].freeAt; t > now && t < next {
-			next = t
-		}
-	}
-	if e.cfg.Autoscale.enabled() && e.asNext > now && e.asNext < next {
-		// The next evaluation tick can change the active set (waking a
-		// queue that is waiting on capacity), so it is an event too.
-		next = e.asNext
-	}
-	if t, ok := e.nextFault(now); ok && t < next {
-		next = t
 	}
 	if next <= now {
 		next = now + time.Nanosecond // safety: time must advance

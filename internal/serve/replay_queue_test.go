@@ -42,10 +42,12 @@ func TestQueueOrderInvariant(t *testing.T) {
 			for i := range reqs {
 				reqs[i].Priority = st.Intn(c.classes) - 1
 			}
+			e := New(Config{Replicas: 1, MaxBatch: c.maxBatch})
 			l := &replayLoop{
-				e:    New(Config{Replicas: 1, MaxBatch: c.maxBatch}),
+				e: e, pools: []rPool{{e: e}},
 				reqs: reqs, keys: make([]promptKey, nreq), states: make([]rState, nreq),
 			}
+			p := &l.pools[0]
 			var queued, taken []int // the model: queued and taken attempt ids
 			clock := time.Duration(0)
 			for op := 0; op < 3000; op++ {
@@ -76,7 +78,7 @@ func TestQueueOrderInvariant(t *testing.T) {
 							want = append(want, ai)
 						}
 					}
-					l.takeBatch()
+					l.takeBatch(p)
 					if !slices.Equal(l.batch, want) {
 						t.Fatalf("op %d: takeBatch took %v, want %v", op, l.batch, want)
 					}
@@ -88,20 +90,20 @@ func TestQueueOrderInvariant(t *testing.T) {
 				default: // a served request drops its queued duplicates
 					req := st.Intn(nreq)
 					drop := func(q int) bool { return l.attempts[q].req == req }
-					l.queue = slices.DeleteFunc(l.queue, drop)
+					p.queue = slices.DeleteFunc(p.queue, drop)
 					queued = slices.DeleteFunc(queued, drop)
 					l.states[req].live = 0
 				}
 				want := slices.Clone(queued)
 				slices.SortFunc(want, func(a, b int) int { return ref(l, a, b) })
-				if !slices.Equal(l.queue, want) {
-					t.Fatalf("op %d: queue %v, want %v", op, l.queue, want)
+				if !slices.Equal(p.queue, want) {
+					t.Fatalf("op %d: queue %v, want %v", op, p.queue, want)
 				}
 				oldest := never
 				for _, ai := range want {
 					oldest = min(oldest, l.attempts[ai].arrival)
 				}
-				if got := l.oldestQueued(); got != oldest {
+				if got := l.oldestQueued(p.queue); got != oldest {
 					t.Fatalf("op %d: oldestQueued = %v, want %v", op, got, oldest)
 				}
 			}

@@ -14,16 +14,17 @@ import (
 // request is exactly one attempt, and the hooks below never fire.
 //
 // The unit of scheduling is an ATTEMPT: one service try of a logical
-// request — the original submission, a deadline-triggered retry, or a hedge
-// duplicate. Attempts queue, batch and launch like requests; the logical
-// request resolves with the first attempt whose batch completes (ties break
-// toward the earlier attempt), and its remaining attempts are cancelled —
-// free while still queued, priced as wasted replica occupancy once
-// launched. A replica crash kills the whole in-flight batch: its attempts
-// re-enter the admission queue at the crash instant with their arrival
-// times intact (deadline-expired ones time out right there), so every
-// injected failure's requests are re-served, shed or timed out explicitly —
-// never silently lost.
+// request in one stage pool — the original submission, a deadline-triggered
+// retry, a hedge duplicate, or the decode stage of a handed-off one (see
+// disagg.go). Attempts queue, batch and launch like requests; the logical
+// request resolves with the first attempt whose last-stage batch completes
+// (ties break toward the earlier attempt), and its remaining attempts are
+// cancelled — free while still queued, priced as wasted replica occupancy
+// once launched. A replica crash kills the whole in-flight batch: its
+// attempts re-enter the first stage's queue at the crash instant with their
+// arrival times intact (deadline-expired ones time out right there), so
+// every injected failure's requests are re-served, shed or timed out
+// explicitly — never silently lost.
 //
 // Everything is deterministic: fault schedules and retry jitter come from
 // named RNG streams (per replica slot and per request index respectively),
@@ -34,12 +35,11 @@ import (
 //
 // Accounting convention: flow statistics (Requests, Service, QueueWait,
 // BatchedSeqs, prompt/cache tokens, LatencyHist) count WINNING attempts
-// only — the work the client actually received, with latency measured from
-// the original arrival. Losing hedges, crash-killed batches and abandoned
-// attempts still burn replica occupancy (busyAcc, so autoscaler utilization
-// sees failures as scale-up pressure) and are visible through the dedicated
-// counters: Retries, HedgesIssued/HedgeWins, TimedOut, ShedRequests,
-// FailedBatches, ReplicaDowntime.
+// only, with latency measured from the original arrival. Losing hedges,
+// crash-killed batches and abandoned attempts still burn replica occupancy
+// (busyAcc, so autoscaler utilization sees failures as scale-up pressure)
+// and show in the dedicated counters: Retries, HedgesIssued/HedgeWins,
+// TimedOut, ShedRequests, FailedBatches, ReplicaDowntime.
 
 // Outcome labels how a replayed logical request resolved.
 type Outcome string
@@ -63,7 +63,9 @@ type rAttempt struct {
 	n, cached, total int32 // batch size; the attempt's cached and total prompt tokens
 	ri               int32 // replica that hosted the batch
 	hedge            bool  // a hedge duplicate (vs original/retry)
-	queued           bool  // in the admission queue now
+	queued           bool  // in its stage's admission queue now
+	stage            uint8 // index of the pool the attempt runs in
+	prev             int32 // decode stage: the attempt that ran the prefill
 }
 
 // rState is one logical request's resilience bookkeeping.
@@ -86,16 +88,17 @@ type rTimer struct {
 }
 
 // shedNow reports whether the shed policy rejects an admission of priority
-// prio at time t.
+// prio at time t. It reads the first stage's queue, where every request and
+// retry is admitted.
 func (l *replayLoop) shedNow(t time.Duration, prio int) bool {
-	p := l.e.cfg.Shed
+	p, q := l.e.cfg.Shed, l.pools[0].queue
 	if !p.enabled() || prio < p.Priority {
 		return false
 	}
-	if p.Queue > 0 && len(l.queue) >= p.Queue {
+	if p.Queue > 0 && len(q) >= p.Queue {
 		return true
 	}
-	return p.Wait > 0 && len(l.queue) > 0 && t-l.oldestQueued() >= p.Wait
+	return p.Wait > 0 && len(q) > 0 && t-l.oldestQueued(q) >= p.Wait
 }
 
 // resolveUnserved resolves a request at time t without serving it: shed
@@ -153,16 +156,12 @@ func (l *replayLoop) addTimer(at time.Duration, tm rTimer) {
 	l.nTimers++
 }
 
-// maxRetrySpan bounds how long a client keeps retrying: a retry that would
-// re-enter admission later than maxRetrySpan after the request's arrival is
-// not issued, and the request resolves timed-out instead. Each backoff
-// saturates at maxSpecDuration, but a budget of hundreds of saturated
-// backoffs would otherwise carry re-entry times past time.Duration's range.
-const maxRetrySpan = maxSpecDuration
-
 // attemptLost handles a request losing its last live attempt at te:
-// schedule a retry while budget (and maxRetrySpan) remains, otherwise
-// resolve timed-out.
+// schedule a retry while budget remains, otherwise resolve timed-out. A
+// retry that would re-enter admission more than maxSpecDuration after the
+// request's arrival is not issued either: each backoff saturates there, but
+// hundreds of saturated backoffs would carry re-entry times past
+// time.Duration's range.
 func (l *replayLoop) attemptLost(req int, te time.Duration) {
 	e := l.e
 	st := &l.states[req]
@@ -174,7 +173,7 @@ func (l *replayLoop) attemptLost(req int, te time.Duration) {
 			l.jitter[req] = l.retryStream(req)
 		}
 		back := e.cfg.Retry.backoff(int(st.retries), l.jitter[req])
-		if back <= maxRetrySpan-(te-l.reqs[req].Arrival) {
+		if back <= maxSpecDuration-(te-l.reqs[req].Arrival) {
 			st.retries++
 			e.stats.Retries++
 			l.addTimer(te+back, rTimer{req: req, wave: st.retries, dur: back})
@@ -249,8 +248,9 @@ func (l *replayLoop) nextExpiry() time.Duration {
 func (l *replayLoop) expireDeadlines() {
 	for l.nextExpiry() <= l.now {
 		x := l.expire.pop()
-		i, _ := slices.BinarySearchFunc(l.queue, x.id, l.queueCmp)
-		l.queue = slices.Delete(l.queue, i, i+1)
+		p := &l.pools[l.attempts[x.id].stage]
+		i, _ := slices.BinarySearchFunc(p.queue, x.id, l.queueCmp)
+		p.queue = slices.Delete(p.queue, i, i+1)
 		l.attempts[x.id].queued = false
 		l.timeOutAttempt(x.id, x.at)
 	}
@@ -290,13 +290,13 @@ func (l *replayLoop) fireTimers() {
 	}
 }
 
-// crashBatch handles a launch whose span hits crash window w on replica ri:
-// the crash kills the whole batch. It reverts the replica's served count,
-// charges the occupancy burned until the crash, and puts every member back
-// into admission at the crash instant — except members whose deadline has
-// already passed, which time out right there.
-func (l *replayLoop) crashBatch(r *replica, ri int, w faultWindow) {
-	e := l.e
+// crashBatch handles a launch on e's replica ri whose span hits crash
+// window w: the crash kills the whole batch. It reverts the replica's
+// served count, charges the occupancy burned until the crash, and puts
+// every member back into the first stage's admission at the crash instant
+// (the replica's KV state is lost with it) — except members whose deadline
+// has already passed, which time out right there.
+func (l *replayLoop) crashBatch(e *Endpoint, r *replica, ri int, w faultWindow) {
 	r.requests -= len(l.batch)
 	e.busyAcc += w.start - l.now
 	e.crashReplica(r, ri, w, len(l.batch))
@@ -304,6 +304,7 @@ func (l *replayLoop) crashBatch(r *replica, ri int, w faultWindow) {
 		if w.start >= l.expiry(ai) {
 			l.timeOutAttempt(ai, w.start)
 		} else {
+			l.attempts[ai].stage = 0
 			l.queueAttempt(ai)
 		}
 	}

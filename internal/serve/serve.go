@@ -121,19 +121,15 @@ type Config struct {
 	// byte-identical to fixed-replica serving. See Autoscale.
 	Autoscale Autoscale
 	// Prefill and Decode, when both have Replicas > 0, disaggregate the
-	// endpoint into two stage pools: every request runs its prompt
-	// processing on the prefill pool, pays the KV Handoff, then queues on
-	// the decode pool for token generation. Each pool batches and caches
-	// independently (decode-pool caches are forced off — there is no
-	// prompt left to share). Replicas must stay 0 when pools are set: the
-	// monolithic knobs describe a deployment that no longer exists. Both
-	// zero (the default) keeps the single-pool endpoint, byte-identical
-	// to configs that predate disaggregation.
+	// endpoint into two stage pools (see disagg.go): every request runs its
+	// prompt processing on the prefill pool, pays the KV Handoff, then
+	// queues on the decode pool, by (Priority, handoff arrival, submission
+	// index), for token generation. Each pool batches, caches (decode-pool
+	// caches are forced off), fails and autoscales independently. Replicas
+	// must stay 0 when pools are set. Both zero (the default) keeps the
+	// single-pool endpoint.
 	Prefill PoolConfig
-	// Decode configures the token-generation pool; see Prefill. Decode
-	// admission orders queued requests by (Priority, handoff arrival,
-	// submission index), so Request.Priority is honored where decode
-	// contention actually forms.
+	// Decode configures the token-generation pool; see Prefill.
 	Decode PoolConfig
 	// Handoff prices the prefill→decode KV transfer. The zero value is a
 	// free, instantaneous handoff.
@@ -146,9 +142,9 @@ type Config struct {
 	// Retry, Hedge and Shed are the client-resilience policies open-loop
 	// replay applies around the endpoint: deadline-triggered seeded-backoff
 	// retries, duplicate hedged attempts (first completion wins), and
-	// priority-aware admission shedding. All zero values disable. Resilience
-	// acts in Replay (the front-door model) only; closed-loop episode calls
-	// resolve synchronously and rely on server-side crash re-admission.
+	// priority-aware admission shedding. All zero values disable. They act
+	// in Replay only; closed-loop calls resolve synchronously and rely on
+	// server-side crash re-admission.
 	Retry RetryPolicy
 	Hedge HedgePolicy
 	Shed  ShedPolicy
@@ -223,12 +219,6 @@ func (c Config) Validate() error {
 	if c.Disaggregated() {
 		if c.Replicas > 0 {
 			return fmt.Errorf("serve: Replicas (%d) is the monolithic pool; leave it 0 when Prefill/Decode pools are set", c.Replicas)
-		}
-		if c.Autoscale.enabled() {
-			return fmt.Errorf("serve: autoscaling is monolithic-only; disable it when Prefill/Decode pools are set")
-		}
-		if c.Faults.enabled() || c.Retry.enabled() || c.Hedge.enabled() || c.Shed.enabled() {
-			return fmt.Errorf("serve: fault injection and client resilience are monolithic-only; disable them when Prefill/Decode pools are set")
 		}
 	}
 	for _, p := range []struct {
