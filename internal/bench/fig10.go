@@ -25,20 +25,17 @@ import (
 // of running the simulation — so its rows vary run to run; the serving
 // statistics columns remain deterministic.
 //
-// Three panels:
+// Two panels (the heap-vs-linear merge comparison that was panel 10b is
+// the BenchmarkFleetMerge{Heap,Linear} pair in internal/serve):
 //
-//   - merge scale: synthetic scripted episode streams (no world
+//   - 10a, merge scale: synthetic scripted episode streams (no world
 //     simulation, so the merge hot path is all that scales) driven through
 //     a ShardedFleet, swept fleet size × shards × routing. A fixed total
 //     request budget per cell makes per-admission cost the variable.
-//   - before/after: the same streams through the heap merge and through
-//     the seed linear-scan + broadcast reference (serve.NewLinearFleet),
-//     single shard — the admission-complexity speedup this PR's rewrite
-//     buys, the trajectory's acceptance number.
-//   - closed loop: real CoELA episodes via runner.RunFleet at fleet sizes
-//     past the activation threshold, exercising the bounded activation
-//     pool end to end (capped at 256 episodes — real episodes cost real
-//     time; the merge panels carry the scale story beyond that).
+//   - 10c, closed loop: real CoELA episodes via runner.RunFleet at fleet
+//     sizes past the activation threshold, exercising the bounded
+//     activation pool end to end (capped at 256 episodes — real episodes
+//     cost real time; the merge panel carries the scale story beyond that).
 
 // Fig10MergeRow is one (fleet size, shards, routing) synthetic-merge cell.
 type Fig10MergeRow struct {
@@ -52,15 +49,6 @@ type Fig10MergeRow struct {
 	CacheHitRate  float64
 }
 
-// Fig10BaselineRow is one heap-vs-linear before/after sample.
-type Fig10BaselineRow struct {
-	Episodes int
-	Requests int
-	LinearMS float64 // seed linear-scan + broadcast merge
-	HeapMS   float64 // heap merge + targeted wakeups
-	Speedup  float64 // LinearMS / HeapMS
-}
-
 // Fig10ClosedRow is one real-episode (fleet size, shards) sample.
 type Fig10ClosedRow struct {
 	Episodes      int
@@ -71,11 +59,10 @@ type Fig10ClosedRow struct {
 	CacheHitRate  float64
 }
 
-// Fig10Report bundles the three panels.
+// Fig10Report bundles the two panels.
 type Fig10Report struct {
-	Merge    []Fig10MergeRow
-	Baseline []Fig10BaselineRow
-	Closed   []Fig10ClosedRow
+	Merge  []Fig10MergeRow
+	Closed []Fig10ClosedRow
 }
 
 // Fig10FleetSizes is the default fleet-size axis (ISSUE/ROADMAP ladder).
@@ -88,21 +75,13 @@ var Fig10Shards = []int{1, 4}
 // the per-replica cache probes the memoized prompt keys were built for.
 var fig10Routings = []serve.RoutingPolicy{serve.RouteLeastLoaded, serve.RouteCacheAffinity}
 
-// fig10BaselineCap bounds the linear reference's fleet size: the broadcast
-// storm is quadratic in practice, and past 1024 episodes a single
-// before/after cell would dominate the whole experiment's runtime.
-const fig10BaselineCap = 1024
-
 // fig10ClosedCap bounds the real-episode panel.
 const fig10ClosedCap = 256
 
-// fig10MergeBudget and fig10BaselineBudget are total requests per cell:
-// fixed budgets keep wall times comparable across fleet sizes (the same
-// work, spread over more episodes) and bound the linear reference's cost.
-const (
-	fig10MergeBudget    = 16384
-	fig10BaselineBudget = 8192
-)
+// fig10MergeBudget is the total requests per merge cell: a fixed budget
+// keeps wall times comparable across fleet sizes (the same work, spread
+// over more episodes).
+const fig10MergeBudget = 16384
 
 // fig10Steps spreads a request budget over n episodes, at least 4 calls
 // each so every episode genuinely participates in the merge.
@@ -183,7 +162,7 @@ func fig10Serve(routing serve.RoutingPolicy) serve.Config {
 	}
 }
 
-// Fig10 sweeps all three panels. cfg.FleetSizes and cfg.FleetShards
+// Fig10 sweeps both panels. cfg.FleetSizes and cfg.FleetShards
 // override the axes (the CLI's -fleet-sizes / -serve-shards).
 func Fig10(cfg Config) Fig10Report {
 	sizes := cfg.FleetSizes
@@ -214,28 +193,6 @@ func Fig10(cfg Config) Fig10Report {
 				})
 			}
 		}
-	}
-
-	// Before/after: heap merge vs the seed linear-scan reference.
-	for _, n := range sizes {
-		if n > fig10BaselineCap {
-			continue
-		}
-		steps := fig10Steps(fig10BaselineBudget, n)
-		calls := fig10Streams(n, steps, cfg.Seed)
-		sc := fig10Serve(serve.RouteLeastLoaded)
-		heap := serve.NewFleet(sc, n)
-		heapMS := fig10Drive(heap.Client, calls)
-		lin := serve.NewLinearFleet(sc, n)
-		linMS := fig10Drive(lin.Client, calls)
-		speedup := 0.0
-		if heapMS > 0 {
-			speedup = linMS / heapMS
-		}
-		rep.Baseline = append(rep.Baseline, Fig10BaselineRow{
-			Episodes: n, Requests: n * steps,
-			LinearMS: linMS, HeapMS: heapMS, Speedup: speedup,
-		})
 	}
 
 	// Closed loop: real episodes through the activation-gated runner.
@@ -272,16 +229,11 @@ func Fig10(cfg Config) Fig10Report {
 }
 
 // Fig10Metrics flattens the report's perf evidence for the trajectory
-// record: per-size heap/linear wall times and speedups, plus merge-panel
-// admission rates at the largest swept size (the full sweep stays in the
-// rendered report; the trajectory only needs the scale frontier).
+// record: merge-panel admission rates at the largest swept size (the full
+// sweep stays in the rendered report; the trajectory only needs the scale
+// frontier).
 func Fig10Metrics(rep Fig10Report) map[string]float64 {
 	m := make(map[string]float64)
-	for _, r := range rep.Baseline {
-		m[fmt.Sprintf("fleet%d_linear_ms", r.Episodes)] = r.LinearMS
-		m[fmt.Sprintf("fleet%d_heap_ms", r.Episodes)] = r.HeapMS
-		m[fmt.Sprintf("fleet%d_speedup", r.Episodes)] = r.Speedup
-	}
 	maxN := 0
 	for _, r := range rep.Merge {
 		if r.Episodes > maxN {
@@ -298,7 +250,7 @@ func Fig10Metrics(rep Fig10Report) map[string]float64 {
 	return m
 }
 
-// RenderFig10 formats all three panels.
+// RenderFig10 formats both panels.
 func RenderFig10(rep Fig10Report) string {
 	var b strings.Builder
 	b.WriteString("Fig. 10 — fleet admission at scale (wall time of the simulation itself)\n")
@@ -309,13 +261,6 @@ func RenderFig10(rep Fig10Report) string {
 		fmt.Fprintf(&b, "%8d %7d %-16s %9d %10.1f %10.0f %7.1fs %5.0f%%\n",
 			r.Episodes, r.Shards, r.Routing, r.Requests, r.WallMS,
 			r.AdmitPerSec, r.MeanQueueWait.Seconds(), 100*r.CacheHitRate)
-	}
-	b.WriteString("\nFig. 10b — admission before/after: heap merge + targeted wakeups vs seed linear scan + broadcast (1 shard)\n")
-	fmt.Fprintf(&b, "%8s %9s %11s %9s %9s\n",
-		"episodes", "requests", "linear-ms", "heap-ms", "speedup")
-	for _, r := range rep.Baseline {
-		fmt.Fprintf(&b, "%8d %9d %11.1f %9.1f %8.1fx\n",
-			r.Episodes, r.Requests, r.LinearMS, r.HeapMS, r.Speedup)
 	}
 	b.WriteString("\nFig. 10c — closed loop: real CoELA episodes through the activation-gated runner (2 agents/episode)\n")
 	fmt.Fprintf(&b, "%8s %7s %10s %9s %8s %6s\n",

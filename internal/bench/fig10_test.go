@@ -19,20 +19,12 @@ func TestFig10Shapes(t *testing.T) {
 	if len(rep.Merge) != wantMerge {
 		t.Fatalf("merge rows = %d, want %d", len(rep.Merge), wantMerge)
 	}
-	if len(rep.Baseline) != len(cfg.FleetSizes) {
-		t.Fatalf("baseline rows = %d, want %d", len(rep.Baseline), len(cfg.FleetSizes))
-	}
 	if len(rep.Closed) != len(cfg.FleetSizes)*len(cfg.FleetShards) {
 		t.Fatalf("closed rows = %d, want %d", len(rep.Closed), len(cfg.FleetSizes)*len(cfg.FleetShards))
 	}
 	for _, r := range rep.Merge {
 		if r.Requests == 0 || r.WallMS <= 0 || r.AdmitPerSec <= 0 {
 			t.Fatalf("degenerate merge row: %+v", r)
-		}
-	}
-	for _, r := range rep.Baseline {
-		if r.LinearMS <= 0 || r.HeapMS <= 0 || r.Speedup <= 0 {
-			t.Fatalf("degenerate baseline row: %+v", r)
 		}
 	}
 	for _, r := range rep.Closed {
@@ -45,8 +37,8 @@ func TestFig10Shapes(t *testing.T) {
 		t.Fatal("empty render")
 	}
 	m := Fig10Metrics(rep)
-	if _, ok := m["fleet8_speedup"]; !ok {
-		t.Fatalf("metrics missing speedup keys: %v", m)
+	if _, ok := m["merge72_shards1_least-loaded_admit_per_sec"]; !ok {
+		t.Fatalf("metrics missing admission-rate keys: %v", m)
 	}
 }
 

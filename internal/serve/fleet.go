@@ -61,10 +61,6 @@ type Fleet struct {
 	// without the mutex: it must be set before any episode runs and never
 	// changed afterwards.
 	gate Gate
-	// linear selects the seed reference merge (linear scan + broadcast),
-	// kept for differential tests and the fig10 before/after benchmark.
-	linear bool
-	cond   *sync.Cond // linear mode only
 }
 
 // Gate bounds how many fleet episodes actively execute at once. A client
@@ -124,33 +120,13 @@ var (
 // NewFleet builds a fleet of `episodes` clients sharing one endpoint built
 // from cfg.
 func NewFleet(cfg Config, episodes int) *Fleet {
-	f := &Fleet{ep: New(cfg)}
-	f.init(episodes)
-	return f
-}
-
-// NewLinearFleet builds a fleet that merges with the seed reference
-// implementation: an O(N) linear scan over all clients per admission and a
-// broadcast wakeup of every parked episode per serve. It admits the exact
-// same order as NewFleet — the differential merge test pins that — and
-// exists only as the comparison baseline: fig10 measures the heap merge's
-// speedup against it, and tests diff the two implementations on randomized
-// workloads. Gates are ignored in this mode.
-func NewLinearFleet(cfg Config, episodes int) *Fleet {
-	f := &Fleet{ep: New(cfg), linear: true}
-	f.cond = sync.NewCond(&f.mu)
-	f.init(episodes)
-	return f
-}
-
-func (f *Fleet) init(episodes int) {
-	f.clients = make([]*FleetClient, episodes)
-	f.revealed = make(calendar[struct{}], 0, episodes)
-	f.unrevealed = episodes
+	f := &Fleet{ep: New(cfg), clients: make([]*FleetClient, episodes),
+		revealed: make(calendar[struct{}], 0, episodes), unrevealed: episodes}
 	for i := range f.clients {
 		f.clients[i] = &FleetClient{f: f, id: i, wake: make(chan struct{}, 1)}
 		f.clients[i].stats.Replicas = f.ep.cfg.Replicas
 	}
+	return f
 }
 
 // SetGate installs an activation gate (see Gate). It must be called before
@@ -210,8 +186,8 @@ func (f *Fleet) dispatch() {
 }
 
 // serve admits c's revealed pending request: it records the admission,
-// serves the request against the shared endpoint and marks it served. Both
-// merges (dispatch, dispatchLinear) admit through it. Runs with f.mu held.
+// serves the request against the shared endpoint and marks it served. Runs
+// with f.mu held.
 func (f *Fleet) serve(c *FleetClient) {
 	p := c.pend
 	f.emitAdmit(c, p)
@@ -227,10 +203,6 @@ func (f *Fleet) serve(c *FleetClient) {
 // it has been admitted and served.
 func (c *FleetClient) submit(p *fleetPending) {
 	f := c.f
-	if f.linear {
-		c.submitLinear(p)
-		return
-	}
 	f.mu.Lock()
 	if c.done {
 		f.mu.Unlock()
@@ -321,68 +293,10 @@ func (c *FleetClient) Finish() {
 		return
 	}
 	c.done = true
-	if !f.linear {
-		// The finishing client is by construction not revealed (its
-		// owning goroutine only calls Finish between requests), so it was
-		// counted unrevealed; removing it may unblock admissions, and
-		// dispatch wakes exactly the clients it serves.
-		f.unrevealed--
-		f.dispatch()
-		return
-	}
-	f.dispatchLinear()
-	f.cond.Broadcast()
-}
-
-// --- seed reference merge: linear scan + broadcast (NewLinearFleet) ---
-
-// lessThan orders revealed clients by their merge key, (arrival, id).
-func lessThan(a, b *FleetClient) bool {
-	if a.pend.arrival != b.pend.arrival {
-		return a.pend.arrival < b.pend.arrival
-	}
-	return a.id < b.id
-}
-
-// dispatchLinear is the seed admission loop: an O(N) scan over every
-// client per admitted request. Runs with f.mu held; every serve wakes all
-// waiters.
-func (f *Fleet) dispatchLinear() {
-	for {
-		var best *FleetClient
-		for _, c := range f.clients {
-			if c.done {
-				continue
-			}
-			if c.pend == nil || c.pend.served {
-				return // an episode has not revealed its next request yet
-			}
-			if best == nil || lessThan(c, best) {
-				best = c
-			}
-		}
-		if best == nil {
-			return // every episode finished
-		}
-		f.serve(best)
-		f.cond.Broadcast()
-	}
-}
-
-// submitLinear is the seed park-and-wait: wait on the shared cond, waking
-// (spuriously, N-1 times out of N) at every admission anywhere in the
-// fleet.
-func (c *FleetClient) submitLinear(p *fleetPending) {
-	f := c.f
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if c.done {
-		panic("serve: FleetClient used after Finish")
-	}
-	c.pend = p
-	f.dispatchLinear()
-	for !p.served {
-		f.cond.Wait()
-	}
-	c.pend = nil
+	// The finishing client is by construction not revealed (its owning
+	// goroutine only calls Finish between requests), so it was counted
+	// unrevealed; removing it may unblock admissions, and dispatch wakes
+	// exactly the clients it serves.
+	f.unrevealed--
+	f.dispatch()
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"embench/internal/llm"
+	"embench/internal/metrics"
 	"embench/internal/rng"
 )
 
@@ -193,12 +194,18 @@ func TestFleetServeBatchMergesAsUnit(t *testing.T) {
 	}
 }
 
+// fleetBackend is what a scripted episode needs from its fleet handle.
+type fleetBackend interface {
+	llm.BatchBackend
+	Finish()
+}
+
 // fleetScriptOn is fleetScript against a caller-built fleet (heap, linear
 // or sharded via the client accessor), mixing explicit phase batches in:
 // an episode whose step index hits batchEvery submits that call and the
 // next as one ServeBatch unit. Returns per-episode served slices flattened
 // in submission order.
-func fleetScriptOn(client func(int) *FleetClient, calls [][]llm.Call, batchEvery int) [][]llm.Served {
+func fleetScriptOn[C fleetBackend](client func(int) C, calls [][]llm.Call, batchEvery int) [][]llm.Served {
 	out := make([][]llm.Served, len(calls))
 	var wg sync.WaitGroup
 	for e := range calls {
@@ -260,7 +267,7 @@ func TestFleetDifferentialHeapVsLinear(t *testing.T) {
 		}
 		batchEvery := r.Intn(4) // 0 = no explicit batches this trial
 		heapF := NewFleet(cfg, eps)
-		linF := NewLinearFleet(cfg, eps)
+		linF := newLinearFleet(cfg, eps)
 		got := fleetScriptOn(heapF.Client, calls, batchEvery)
 		want := fleetScriptOn(linF.Client, calls, batchEvery)
 		if !reflect.DeepEqual(got, want) {
@@ -370,36 +377,134 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetAdmission measures the merge hot path across fleet sizes:
-// N scripted episodes, a bounded total call budget so the per-admission
-// cost — heap pop + targeted wakeup vs linear scan + broadcast — is what
-// scales, not the workload. The heap/linear pair at each N is the
-// admission-complexity comparison fig10 reports at full scale.
-func BenchmarkFleetAdmission(b *testing.B) {
-	cfg := Config{Profile: noJitter, Replicas: 2, MaxBatch: 4,
-		MaxWait: time.Second, CacheEntries: 128}
-	for _, n := range []int{8, 256, 2048} {
-		steps := 8192 / n
-		if steps < 2 {
-			steps = 2
+// linearFleet is the seed merge, kept as the test oracle of Fleet: an O(N)
+// scan over every client per admission and a broadcast wakeup of every
+// parked episode per serve. It admits exactly the order Fleet admits.
+type linearFleet struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	ep      *Endpoint
+	clients []*linearClient
+}
+
+// linearClient is one episode's handle on a linearFleet.
+type linearClient struct {
+	f    *linearFleet
+	id   int
+	done bool
+	pend *fleetPending
+}
+
+func newLinearFleet(cfg Config, episodes int) *linearFleet {
+	f := &linearFleet{ep: New(cfg), clients: make([]*linearClient, episodes)}
+	f.cond = sync.NewCond(&f.mu)
+	for i := range f.clients {
+		f.clients[i] = &linearClient{f: f, id: i}
+	}
+	return f
+}
+
+func (f *linearFleet) Client(i int) *linearClient { return f.clients[i] }
+
+func (f *linearFleet) Stats() metrics.Serving {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ep.Stats()
+}
+
+// dispatch serves revealed requests in (arrival, client id) order while
+// every live client has revealed one. Runs with f.mu held.
+func (f *linearFleet) dispatch() {
+	for {
+		var best *linearClient
+		for _, c := range f.clients {
+			if c.done {
+				continue
+			}
+			if c.pend == nil || c.pend.served {
+				return // an episode has not revealed its next request yet
+			}
+			if best == nil || c.pend.arrival < best.pend.arrival {
+				best = c
+			}
 		}
-		calls := scriptCalls(n, steps, 8*time.Second, 50*time.Millisecond)
-		b.Run(fmt.Sprintf("heap/N=%d", n), func(b *testing.B) {
+		if best == nil {
+			return // every episode finished
+		}
+		p := best.pend
+		if p.batch != nil {
+			p.resB = f.ep.ServeBatch(p.batch)
+		} else {
+			p.res = f.ep.Serve(p.call)
+		}
+		p.served = true
+		f.cond.Broadcast()
+	}
+}
+
+// submit parks p in the merge and waits on the shared cond, waking at
+// every admission anywhere in the fleet, until p is served.
+func (c *linearClient) submit(p *fleetPending) {
+	f := c.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c.pend = p
+	f.dispatch()
+	for !p.served {
+		f.cond.Wait()
+	}
+	c.pend = nil
+}
+
+func (c *linearClient) Serve(call llm.Call) llm.Served {
+	p := &fleetPending{arrival: call.Arrival, call: call}
+	c.submit(p)
+	return p.res
+}
+
+func (c *linearClient) ServeBatch(calls []llm.Call) []llm.Served {
+	p := &fleetPending{arrival: batchArrival(calls), batch: calls}
+	c.submit(p)
+	return p.resB
+}
+
+func (c *linearClient) Finish() {
+	f := c.f
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	c.done = true
+	f.dispatch()
+	f.cond.Broadcast()
+}
+
+// fleetMergeSizes are the fleet sizes of the merge benchmark pair; each
+// drives a bounded total call budget, so the per-admission cost is what
+// scales.
+var fleetMergeSizes = []int{16, 64, 256, 1024}
+
+// benchFleetMerge drives scripted episodes through fresh fleets built by
+// newFleet, one sub-benchmark per fleet size.
+func benchFleetMerge[C fleetBackend](b *testing.B, newFleet func(Config, int) func(int) C) {
+	cfg := Config{Profile: noJitter, Replicas: 4, MaxBatch: 4,
+		MaxWait: 1500 * time.Millisecond, CacheEntries: 512}
+	for _, n := range fleetMergeSizes {
+		calls := scriptCalls(n, max(8192/n, 4), time.Duration(n)*12*time.Second, 40*time.Millisecond)
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				f := NewFleet(cfg, n)
-				fleetScriptOn(f.Client, calls, 0)
+				fleetScriptOn(newFleet(cfg, n), calls, 0)
 			}
 		})
-		if n <= 256 {
-			// The linear reference at 2048 episodes costs minutes per op
-			// (the broadcast storm is the point); bench it only where it
-			// terminates promptly.
-			b.Run(fmt.Sprintf("linear/N=%d", n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					f := NewLinearFleet(cfg, n)
-					fleetScriptOn(f.Client, calls, 0)
-				}
-			})
-		}
 	}
+}
+
+// BenchmarkFleetMergeHeap and BenchmarkFleetMergeLinear are the
+// admission-complexity comparison, formerly fig10's before/after panel:
+// the calendar merge with targeted wakeups against the seed linear scan
+// with broadcast wakeups, on the same scripted streams.
+func BenchmarkFleetMergeHeap(b *testing.B) {
+	benchFleetMerge(b, func(cfg Config, n int) func(int) *FleetClient { return NewFleet(cfg, n).Client })
+}
+
+func BenchmarkFleetMergeLinear(b *testing.B) {
+	benchFleetMerge(b, func(cfg Config, n int) func(int) *linearClient { return newLinearFleet(cfg, n).Client })
 }
