@@ -160,6 +160,63 @@ func main() {
 	hedge := parseSpecFlag("serve-hedge", embench.ParseHedge, *srvHedge)
 	shed := parseSpecFlag("serve-shed", embench.ParseShed, *srvShed)
 
+	// serveConfig builds the endpoint the -serve-* flags describe, for -run
+	// and -replay-trace alike. Negative serving sizes are configuration
+	// mistakes: they fail with the flag named instead of silently clamping
+	// to a default. minReplicas stands in for -serve-replicas 0 on a
+	// monolithic endpoint. TryNew, not Validate, exercises the real
+	// construction path, so a bad flag combination errors here instead of
+	// panicking mid-run.
+	serveConfig := func(minReplicas int) serve.Config {
+		for _, v := range []struct {
+			name  string
+			value int
+		}{
+			{"serve-replicas", *srvReplicas},
+			{"serve-cache-entries", *srvCache},
+			{"serve-cache-tokens", *srvCacheTok},
+			{"serve-batch", *srvBatch},
+			{"serve-fleet", *srvFleet},
+			{"serve-prefill-replicas", *srvPrefillReplicas},
+			{"serve-prefill-batch", *srvPrefillBatch},
+			{"serve-decode-replicas", *srvDecodeReplicas},
+			{"serve-decode-batch", *srvDecodeBatch},
+		} {
+			if v.value < 0 {
+				fatal(fmt.Errorf("-%s must be >= 0, got %d", v.name, v.value))
+			}
+		}
+		routing, err := embench.ParseRouting(*srvRoute)
+		if err != nil {
+			fatal(err)
+		}
+		identity, err := embench.ParseIdentity(*srvIdentity)
+		if err != nil {
+			fatal(err)
+		}
+		replicas := *srvReplicas
+		if replicas == 0 && *srvPrefillReplicas == 0 && *srvDecodeReplicas == 0 {
+			replicas = minReplicas
+		}
+		sc := serve.Config{
+			Replicas: replicas, Routing: routing, MaxBatch: *srvBatch,
+			MaxWait: *srvWait, CacheEntries: *srvCache, CacheTokens: *srvCacheTok,
+			Identity: identity, Autoscale: autoscale,
+			Prefill: serve.PoolConfig{
+				Replicas: *srvPrefillReplicas, MaxBatch: *srvPrefillBatch, MaxWait: *srvPrefillWindow,
+			},
+			Decode: serve.PoolConfig{
+				Replicas: *srvDecodeReplicas, MaxBatch: *srvDecodeBatch, MaxWait: *srvDecodeWindow,
+			},
+			Handoff: handoff,
+			Faults:  faults, Retry: retry, Hedge: hedge, Shed: shed,
+		}
+		if _, err := serve.TryNew(sc); err != nil {
+			fatal(err)
+		}
+		return sc
+	}
+
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
@@ -276,14 +333,7 @@ func main() {
 				*benchJSON, len(out.Entries), out.TotalWallMS)
 		}
 	case *replayTrace != "":
-		routing, err := embench.ParseRouting(*srvRoute)
-		if err != nil {
-			fatal(err)
-		}
-		identity, err := embench.ParseIdentity(*srvIdentity)
-		if err != nil {
-			fatal(err)
-		}
+		sc := serveConfig(1)
 		f, err := os.Open(*replayTrace)
 		if err != nil {
 			fatal(err)
@@ -302,29 +352,6 @@ func main() {
 		}
 		if len(reqs) == 0 {
 			fatal(fmt.Errorf("%s holds no submit events — nothing to replay", *replayTrace))
-		}
-		disagg := *srvPrefillReplicas > 0 || *srvDecodeReplicas > 0
-		replicas := *srvReplicas
-		if replicas <= 0 && !disagg {
-			replicas = 1
-		}
-		sc := serve.Config{
-			Replicas: replicas, Routing: routing, MaxBatch: *srvBatch,
-			MaxWait: *srvWait, CacheEntries: *srvCache, CacheTokens: *srvCacheTok,
-			Identity: identity, Autoscale: autoscale,
-			Prefill: serve.PoolConfig{
-				Replicas: *srvPrefillReplicas, MaxBatch: *srvPrefillBatch, MaxWait: *srvPrefillWindow,
-			},
-			Decode: serve.PoolConfig{
-				Replicas: *srvDecodeReplicas, MaxBatch: *srvDecodeBatch, MaxWait: *srvDecodeWindow,
-			},
-			Handoff: handoff,
-			Faults:  faults, Retry: retry, Hedge: hedge, Shed: shed,
-		}
-		// TryNew, not Validate: exercise the real construction path so a
-		// bad flag combo errors here instead of panicking inside Replay.
-		if _, err := serve.TryNew(sc); err != nil {
-			fatal(err)
 		}
 		if *srvDeadline > 0 {
 			for i := range reqs {
@@ -353,56 +380,11 @@ func main() {
 			}
 		}
 	case *run != "":
-		routing, err := embench.ParseRouting(*srvRoute)
-		if err != nil {
-			fatal(err)
-		}
-		identity, err := embench.ParseIdentity(*srvIdentity)
-		if err != nil {
-			fatal(err)
-		}
-		// Negative serving sizes are configuration mistakes: fail with a
-		// clear message instead of silently clamping to a default.
-		for _, v := range []struct {
-			name  string
-			value int
-		}{
-			{"serve-replicas", *srvReplicas},
-			{"serve-cache-entries", *srvCache},
-			{"serve-cache-tokens", *srvCacheTok},
-			{"serve-batch", *srvBatch},
-			{"serve-fleet", *srvFleet},
-			{"serve-prefill-replicas", *srvPrefillReplicas},
-			{"serve-prefill-batch", *srvPrefillBatch},
-			{"serve-decode-replicas", *srvDecodeReplicas},
-			{"serve-decode-batch", *srvDecodeBatch},
-		} {
-			if v.value < 0 {
-				fatal(fmt.Errorf("-%s must be >= 0, got %d", v.name, v.value))
-			}
-		}
-		disagg := *srvPrefillReplicas > 0 || *srvDecodeReplicas > 0
+		sc := serveConfig(0)
+		disagg := sc.Prefill.Replicas > 0 || sc.Decode.Replicas > 0
 		opt := embench.Options{
 			Seed: *seed, Parallel: *parallel, Aggregate: *srvAgg,
 			Pipeline: *srvPipeline,
-		}
-		sc := embench.ServeConfig{
-			Replicas: *srvReplicas, Routing: routing, MaxBatch: *srvBatch,
-			MaxWait: *srvWait, CacheEntries: *srvCache, CacheTokens: *srvCacheTok,
-			Identity: identity, Autoscale: autoscale,
-			Prefill: serve.PoolConfig{
-				Replicas: *srvPrefillReplicas, MaxBatch: *srvPrefillBatch, MaxWait: *srvPrefillWindow,
-			},
-			Decode: serve.PoolConfig{
-				Replicas: *srvDecodeReplicas, MaxBatch: *srvDecodeBatch, MaxWait: *srvDecodeWindow,
-			},
-			Handoff: handoff,
-			Faults:  faults, Retry: retry, Hedge: hedge, Shed: shed,
-		}
-		// TryNew, not Validate: exercise the real construction path so a
-		// bad flag combo errors here instead of panicking mid-episode.
-		if _, err := serve.TryNew(sc); err != nil {
-			fatal(err)
 		}
 		// The flight recorder attaches to the shared endpoint, so tracing a
 		// run requires one (dedicated per-agent serving has no sink seam).
@@ -658,11 +640,4 @@ func parseIntList(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "embench:", err)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

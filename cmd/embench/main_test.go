@@ -51,6 +51,7 @@ func TestCLIErrorSurface(t *testing.T) {
 		{"shed bad queue", append(replay, "-serve-shed", "queue=deep"), "-serve-shed:"},
 		{"shed zero queue", append(replay, "-serve-shed", "queue=0"), "-serve-shed:"},
 		{"deadline negative replay", append(replay, "-serve-deadline", "-40s"), "-serve-deadline"},
+		{"batch negative replay", append(replay, "-serve-batch", "-3"), "-serve-batch"},
 		// Non-finite and unrepresentable numbers: each used to run and
 		// report garbage virtual times.
 		{"faults infinite slow", append(replay, "-serve-faults", "straggle=1m,slow=+Inf"), "-serve-faults:"},
