@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"embench/internal/llm"
 	"embench/internal/rng"
 	"embench/internal/serve/obs"
 )
@@ -461,39 +460,5 @@ func TestStragglerMemoBounded(t *testing.T) {
 		if s := res.Stats; s.Requests != len(c.reqs) {
 			t.Errorf("%s: served %d of %d requests", c.name, s.Requests, len(c.reqs))
 		}
-	}
-}
-
-// TestCrashVictimsRequeueAtCrash pins when a crash-killed batch re-enters
-// admission: at the crash instant, so no victim launches again before the
-// crash has happened. The stream names each killed batch by its route
-// event (the first member's request), followed by the replica_down that
-// killed it.
-func TestCrashVictimsRequeueAtCrash(t *testing.T) {
-	cfg := Config{Profile: llm.GPT4, Replicas: 3, MaxBatch: 4, MaxWait: 500 * time.Millisecond,
-		Faults: Faults{MTBF: 2 * time.Minute, MTTR: 40 * time.Second, Seed: 3}}
-	reqs := GenerateTraffic(Traffic{Kind: ArriveBursty, Tenants: 32, Horizon: 20 * time.Minute, Seed: 3})
-	rec := obs.NewRecorder()
-	ReplayObserved(cfg, reqs, rec)
-	evs := rec.Events()
-	crashAt := map[int64]time.Duration{}
-	victims, early := 0, 0
-	for i, ev := range evs {
-		switch ev.Kind {
-		case obs.KindRoute, obs.KindCacheHit, obs.KindCacheMiss:
-			if at, ok := crashAt[ev.Req]; ok && ev.T < at {
-				early++
-			}
-			if ev.Kind == obs.KindRoute && i+1 < len(evs) && evs[i+1].Kind == obs.KindReplicaDown && evs[i+1].Batch > 0 {
-				crashAt[ev.Req] = evs[i+1].T
-				victims++
-			}
-		}
-	}
-	if victims == 0 {
-		t.Fatal("no batch was killed; the crash schedule this test needs is gone")
-	}
-	if early > 0 {
-		t.Errorf("%d launch events of %d killed batches' first members precede their crash", early, victims)
 	}
 }
