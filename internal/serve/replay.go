@@ -298,7 +298,7 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 
 // run processes events until every request has resolved. Same-instant
 // events go in a fixed category order — completions, deadline expiries,
-// timers, arrivals (handoffs first, then the trace's), launches (prefill
+// timers, arrivals (handoffs first, then the trace's), launches (decode
 // pool first) — each with index tie-breaks.
 func (l *replayLoop) run() {
 	reqs := l.reqs
@@ -320,7 +320,9 @@ func (l *replayLoop) run() {
 			l.nextArr++
 			l.enqueue(qi, reqs[qi].Arrival)
 		}
-		for s := range l.pools {
+		// Last stage first: a crash victim re-enters the first stage at
+		// once, and must find that stage's launches still to come.
+		for s := len(l.pools) - 1; s >= 0; s-- {
 			l.launch(s)
 		}
 		if l.resolved >= len(reqs) {

@@ -21,10 +21,11 @@ import (
 // (ties break toward the earlier attempt), and its remaining attempts are
 // cancelled — free while still queued, priced as wasted replica occupancy
 // once launched. A replica crash kills the whole in-flight batch: its
-// attempts re-enter the first stage's queue at the crash instant with their
-// arrival times intact (deadline-expired ones time out right there), so
-// every injected failure's requests are re-served, shed or timed out
-// explicitly — never silently lost.
+// attempts re-enter the first stage's queue with their arrival times intact
+// (deadline-expired ones time out), so every injected failure's requests
+// are re-served, shed or timed out explicitly — never silently lost. They
+// re-enter when the doomed batch launches, not at the crash instant, so a
+// victim can restart on another replica before its crash in virtual time.
 //
 // Everything is deterministic: fault schedules and retry jitter come from
 // named RNG streams (per replica slot and per request index respectively),
@@ -293,9 +294,9 @@ func (l *replayLoop) fireTimers() {
 // crashBatch handles a launch on e's replica ri whose span hits crash
 // window w: the crash kills the whole batch. It reverts the replica's
 // served count, charges the occupancy burned until the crash, and puts
-// every member back into the first stage's admission at the crash instant
-// (the replica's KV state is lost with it) — except members whose deadline
-// has already passed, which time out right there.
+// every member back into the first stage's admission at once (the
+// replica's KV state is lost with it) — except members whose deadline has
+// passed by the crash, which time out at the crash instant.
 func (l *replayLoop) crashBatch(e *Endpoint, r *replica, ri int, w faultWindow) {
 	r.requests -= len(l.batch)
 	e.busyAcc += w.start - l.now
