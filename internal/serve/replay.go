@@ -580,36 +580,42 @@ func (l *replayLoop) launch(s int) {
 	}
 }
 
-// nextEvent is the earliest future event: an arrival, a timer, an enter
-// entry, a queued attempt's deadline, and per pool a replica freeing (an
-// in-flight batch completing, or a restart or warm-up ending), a
-// batching-window expiry, an autoscale tick, or an idle replica's scheduled
-// crash. A batch of zero service time completes at the instant it
+// nextEvent is the earliest future event: a batch completion, an arrival,
+// a timer, an enter entry, a queued attempt's deadline, and per pool an
+// autoscale tick or an idle replica's scheduled crash. A pool with queued
+// attempts also wakes at its batching-window expiry and when a replica
+// frees (a restart or warm-up ending); an empty queue has nothing to
+// launch there. A batch of zero service time completes at the instant it
 // launched, so the loop stays at now to resolve it.
 func (l *replayLoop) nextEvent() time.Duration {
 	now := l.now
-	if l.done.next() <= now {
+	next := l.done.next()
+	if next <= now {
 		return now
 	}
-	next := min(l.timers.next(), l.nextExpiry(), l.enter.next())
+	next = min(next, l.timers.next(), l.nextExpiry(), l.enter.next())
 	if l.nextArr < len(l.order) {
 		next = min(next, l.reqs[l.order[l.nextArr]].Arrival)
 	}
 	for i := range l.pools {
 		p := &l.pools[i]
 		e := p.e
-		if len(p.queue) > 0 && e.cfg.MaxBatch > 1 {
-			// Only a future window expiry is an event; an already-expired
-			// window means the queue is waiting on a replica, not on time.
-			if t := l.oldestQueued(p.queue) + e.cfg.MaxWait; t > now && t < next {
-				next = t
+		if len(p.queue) > 0 {
+			if e.cfg.MaxBatch > 1 {
+				// Only a future window expiry is an event; an expired
+				// window means the queue is waiting on a replica, not on
+				// time.
+				if t := l.oldestQueued(p.queue) + e.cfg.MaxWait; t > now && t < next {
+					next = t
+				}
 			}
-		}
-		// Only active replicas are schedulable events: a warming replica's
-		// freeAt (its cold-start expiry) counts, a parked one's does not.
-		for ri := range e.replicas[:e.active] {
-			if t := e.replicas[ri].freeAt; t > now && t < next {
-				next = t
+			// Only active replicas are schedulable events: a warming
+			// replica's freeAt (its cold-start expiry) counts, a parked
+			// one's does not.
+			for ri := range e.replicas[:e.active] {
+				if t := e.replicas[ri].freeAt; t > now && t < next {
+					next = t
+				}
 			}
 		}
 		if e.cfg.Autoscale.enabled() && e.asNext > now && e.asNext < next {
