@@ -54,7 +54,6 @@ import (
 	"time"
 
 	"embench"
-	"embench/internal/bench"
 	"embench/internal/benchjson"
 	"embench/internal/metrics"
 	"embench/internal/runner"
@@ -101,11 +100,11 @@ func main() {
 		srvArrivals = flag.String("serve-arrivals", "",
 			"fig12 arrival-process axis, comma-separated (poisson|bursty|diurnal; default all three)")
 		srvTenants = flag.String("serve-tenants", "",
-			"fig12 tenant-count axis, comma-separated positive integers (default 8,24)")
+			"fig12 tenant-count axis, comma-separated positive integers (default 8,24); fig14 runs the first value (default 24)")
 		srvSLO = flag.Duration("serve-slo", 0,
-			"fig12 end-to-end latency SLO (0 = default 60s; must not be negative)")
+			"fig12 and fig14 end-to-end latency SLO (0 = default 60s; must not be negative)")
 		srvAutoscale = flag.String("serve-autoscale", "",
-			"replica autoscaling: for -exp fig12 the autoscaled deployment ('' = fig12 default), for -run and -replay-trace the shared endpoint ('' = none); 'on', or 'interval=30s,cold=15s,up=0.7,down=0.25,min=2,max=8'")
+			"replica autoscaling: for -exp fig12 and fig14 the autoscaled deployment ('' = fig12 default), for -run and -replay-trace the shared endpoint ('' = none); 'on', or 'interval=30s,cold=15s,up=0.7,down=0.25,min=2,max=8'")
 		srvFaults = flag.String("serve-faults", "",
 			"deterministic replica fault injection on the shared endpoint: 'on' (mtbf=5m,mttr=30s), or 'mtbf=DUR,mttr=DUR,straggle=DUR,for=DUR,slow=F,seed=N' (''/'off' = none)")
 		srvRetry = flag.String("serve-retry", "",
@@ -232,18 +231,9 @@ func main() {
 		fmt.Println("workloads: ", strings.Join(embench.Workloads(), ", "))
 		fmt.Println("experiments:", strings.Join(embench.Experiments(), ", "))
 	case *exp != "":
-		sizes, err := parseIntList(*fleetSizes)
-		if err != nil {
-			fatal(fmt.Errorf("-fleet-sizes: %w", err))
-		}
-		shardAxis, err := parseIntList(*srvShards)
-		if err != nil {
-			fatal(fmt.Errorf("-serve-shards: %w", err))
-		}
-		tenants, err := parseIntList(*srvTenants)
-		if err != nil {
-			fatal(fmt.Errorf("-serve-tenants: %w", err))
-		}
+		sizes := parseSpecFlag("fleet-sizes", parseIntList, *fleetSizes)
+		shardAxis := parseSpecFlag("serve-shards", parseIntList, *srvShards)
+		tenants := parseSpecFlag("serve-tenants", parseIntList, *srvTenants)
 		if *srvSLO < 0 {
 			fatal(fmt.Errorf("-serve-slo must not be negative, got %v", *srvSLO))
 		}
@@ -266,7 +256,7 @@ func main() {
 			}
 			//detlint:allow wallclock harness wall-timing for the run footer; not simulation time
 			start := time.Now()
-			report, metrics, err := embench.ExperimentFull(name, embench.ExperimentConfig{
+			res, err := embench.ExperimentFull(name, embench.ExperimentConfig{
 				Episodes: *episodes, Seed: *seed, Parallelism: *procs,
 				FleetSizes: sizes, FleetShards: shardAxis,
 				Arrivals: arrivals, Tenants: tenants,
@@ -277,51 +267,14 @@ func main() {
 			}
 			//detlint:allow wallclock harness wall-timing for the run footer; not simulation time
 			wall := time.Since(start)
-			fmt.Print(report)
-			// The axis is rendered from the EFFECTIVE parsed axes —
-			// defaults filled in, not the raw flag text — so spelling the
-			// default ladder explicitly, cosmetic list spellings, and a
-			// bare `-exp fig10` all share one trajectory config key per
-			// actual configuration.
-			axis := ""
-			if strings.EqualFold(name, "fig10") {
-				effSizes, effShards := sizes, shardAxis
-				if len(effSizes) == 0 {
-					effSizes = bench.Fig10FleetSizes
-				}
-				if len(effShards) == 0 {
-					effShards = bench.Fig10Shards
-				}
-				axis = fmt.Sprintf("sizes=%s;shards=%s",
-					joinInts(effSizes), joinInts(effShards))
-			}
-			if strings.EqualFold(name, "fig12") {
-				effArrivals, effTenants, effSLO := arrivals, tenants, *srvSLO
-				if len(effArrivals) == 0 {
-					for _, k := range serve.ArrivalKinds() {
-						effArrivals = append(effArrivals, string(k))
-					}
-				}
-				if len(effTenants) == 0 {
-					effTenants = bench.Fig12Tenants
-				}
-				if effSLO <= 0 {
-					effSLO = bench.Fig12SLO
-				}
-				autoscale := *srvAutoscale
-				if autoscale == "" {
-					autoscale = "default"
-				}
-				axis = fmt.Sprintf("arrivals=%s;tenants=%s;slo=%s;autoscale=%s",
-					strings.Join(effArrivals, ","), joinInts(effTenants), effSLO, autoscale)
-			}
+			fmt.Print(res.Report)
 			out.Entries = append(out.Entries, benchjson.Entry{
-				Experiment: name, Episodes: *episodes, Seed: *seed, Procs: *procs,
+				Experiment: res.Name, Episodes: *episodes, Seed: *seed, Procs: *procs,
 				WallMS:     float64(wall.Microseconds()) / 1000,
-				ReportB:    len(report),
-				ReportRows: strings.Count(report, "\n"),
-				Axis:       axis,
-				Metrics:    metrics,
+				ReportB:    len(res.Report),
+				ReportRows: strings.Count(res.Report, "\n"),
+				Axis:       res.Axis,
+				Metrics:    res.Metrics,
 			})
 			out.TotalWallMS += float64(wall.Microseconds()) / 1000
 		}
@@ -509,8 +462,8 @@ func printResilience(s metrics.Serving) {
 		s.FailedBatches, s.ReplicaDowntime.Seconds())
 }
 
-// parseSpecFlag parses one serving-spec flag, exiting with the flag name
-// attached on a bad spec.
+// parseSpecFlag parses one serving-spec or axis flag, exiting with the
+// flag name attached on a bad value.
 func parseSpecFlag[T any](name string, parse func(string) (T, error), spec string) T {
 	v, err := parse(spec)
 	if err != nil {
@@ -605,15 +558,6 @@ func writeBenchJSON(path string, out benchjson.File) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// joinInts renders ints as a canonical comma list.
-func joinInts(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.Itoa(n)
-	}
-	return strings.Join(parts, ",")
 }
 
 // parseIntList parses a comma-separated list of positive integers; the

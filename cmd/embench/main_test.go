@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"embench/internal/benchjson"
 )
 
 // buildBinary compiles the embench binary into a temp dir; every CLI
@@ -111,5 +114,33 @@ func TestCLIProfiles(t *testing.T) {
 		if info.Size() == 0 {
 			t.Errorf("%s is empty", path)
 		}
+	}
+}
+
+// TestCLIBenchRecord: -bench-json records the experiment under its
+// canonical name with the effective axis of every override it read, so a
+// run on non-default fig14 settings never gates against default fig14.
+func TestCLIBenchRecord(t *testing.T) {
+	bin := buildBinary(t)
+	path := filepath.Join(t.TempDir(), "bench.json")
+	cmd := exec.Command(bin, "-exp", "FIG14", "-episodes", "1",
+		"-serve-tenants", "32", "-serve-slo", "45s", "-bench-json", path)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("embench: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f benchjson.File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Entries) != 1 {
+		t.Fatalf("entries = %+v, want one", f.Entries)
+	}
+	e := f.Entries[0]
+	if want := "tenants=32;slo=45s;autoscale=default"; e.Experiment != "fig14" || e.Axis != want {
+		t.Errorf("record = %q axis %q, want fig14 axis %q", e.Experiment, e.Axis, want)
 	}
 }

@@ -219,62 +219,17 @@ func RunOpt(name, difficulty string, agents int, opt Options) (Outcome, error) {
 // figure, plus the optimization ablations and calibration report.
 func Experiments() []string {
 	var out []string
-	for name := range experiments {
-		out = append(out, name)
+	for _, e := range bench.Experiments {
+		out = append(out, e.Name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// experimentOut is one experiment's rendered report plus optional
-// machine-readable perf metrics (recorded in -bench-json / the perf
-// trajectory; nil for experiments that only report simulated quantities).
-type experimentOut struct {
-	report  string
-	metrics map[string]float64
-}
-
-// plain wraps a render-only experiment.
-func plain(fn func(bench.Config) string) func(bench.Config) experimentOut {
-	return func(cfg bench.Config) experimentOut { return experimentOut{report: fn(cfg)} }
-}
-
-var experiments = map[string]func(cfg bench.Config) experimentOut{
-	"table1": plain(func(bench.Config) string { return systems.RenderTaxonomy() }),
-	"table2": plain(func(bench.Config) string { return systems.RenderSuite() }),
-	"fig2":   plain(func(cfg bench.Config) string { return bench.RenderFig2(bench.Fig2(cfg)) }),
-	"fig3":   plain(func(cfg bench.Config) string { return bench.RenderFig3(bench.Fig3(cfg)) }),
-	"fig4":   plain(func(cfg bench.Config) string { return bench.RenderFig4(bench.Fig4(cfg)) }),
-	"fig5":   plain(func(cfg bench.Config) string { return bench.RenderFig5(bench.Fig5(cfg)) }),
-	"fig6":   plain(func(cfg bench.Config) string { return bench.RenderFig6(bench.Fig6(cfg)) }),
-	"fig7":   plain(func(cfg bench.Config) string { return bench.RenderFig7(bench.Fig7(cfg)) }),
-	"fig8":   plain(func(cfg bench.Config) string { return bench.RenderFig8(bench.Fig8(cfg)) }),
-	"fig9":   plain(func(cfg bench.Config) string { return bench.RenderFig9(bench.Fig9(cfg)) }),
-	"fig10": func(cfg bench.Config) experimentOut {
-		rep := bench.Fig10(cfg)
-		return experimentOut{report: bench.RenderFig10(rep), metrics: bench.Fig10Metrics(rep)}
-	},
-	"fig11": func(cfg bench.Config) experimentOut {
-		rep := bench.Fig11(cfg)
-		return experimentOut{report: bench.RenderFig11(rep), metrics: bench.Fig11Metrics(rep)}
-	},
-	"fig12": func(cfg bench.Config) experimentOut {
-		rep := bench.Fig12(cfg)
-		return experimentOut{report: bench.RenderFig12(rep), metrics: bench.Fig12Metrics(rep)}
-	},
-	"fig13": func(cfg bench.Config) experimentOut {
-		rep := bench.Fig13(cfg)
-		return experimentOut{report: bench.RenderFig13(rep), metrics: bench.Fig13Metrics(rep)}
-	},
-	"fig14": func(cfg bench.Config) experimentOut {
-		rep := bench.Fig14(cfg)
-		return experimentOut{report: bench.RenderFig14(rep), metrics: bench.Fig14Metrics(rep)}
-	},
-	"opts": plain(func(cfg bench.Config) string {
-		return bench.RenderOptimizations(bench.Optimizations(cfg), bench.Batching())
-	}),
-	"calibrate": plain(func(cfg bench.Config) string { return bench.CalibrationReport(bench.Fig2(cfg)) }),
-}
+// ExperimentResult is one experiment run's rendered report, its
+// machine-readable perf metrics and its effective sweep axis, under the
+// experiment's canonical name. See bench.Result.
+type ExperimentResult = bench.Result
 
 // ExperimentConfig sizes an experiment run.
 type ExperimentConfig struct {
@@ -295,15 +250,16 @@ type ExperimentConfig struct {
 	// bursty, diurnal); the CLI's -serve-arrivals. Each name must parse
 	// via ParseArrival.
 	Arrivals []string
-	// Tenants overrides fig12's tenant-count axis (nil = {8, 24}); the
-	// CLI's -serve-tenants. Values must be positive.
+	// Tenants overrides fig12's tenant-count axis (nil = {8, 24}); fig14
+	// runs its first value (nil = 24). The CLI's -serve-tenants. Values
+	// must be positive.
 	Tenants []int
-	// SLO overrides fig12's end-to-end latency target (0 = 60s); the
-	// CLI's -serve-slo. Must not be negative.
+	// SLO overrides the end-to-end latency target of fig12 and fig14
+	// (0 = 60s); the CLI's -serve-slo. Must not be negative.
 	SLO time.Duration
-	// Autoscale overrides fig12's autoscaled-deployment policy; parsed
-	// via ParseAutoscale ("" keeps the fig12 default). The CLI's
-	// -serve-autoscale.
+	// Autoscale overrides the autoscaled-deployment policy of fig12 and
+	// fig14; parsed via ParseAutoscale ("" keeps the fig12 default). The
+	// CLI's -serve-autoscale.
 	Autoscale string
 }
 
@@ -316,41 +272,41 @@ func Experiment(name string, episodes int, seed uint64) (string, error) {
 // ExperimentOpt is Experiment with full run configuration, including the
 // episode-runner parallelism.
 func ExperimentOpt(name string, cfg ExperimentConfig) (string, error) {
-	report, _, err := ExperimentFull(name, cfg)
-	return report, err
+	res, err := ExperimentFull(name, cfg)
+	return res.Report, err
 }
 
-// ExperimentFull is ExperimentOpt plus the experiment's machine-readable
-// perf metrics (nil for most experiments; fig10 reports per-fleet-size
-// wall times and heap-vs-linear speedups, which the CLI folds into
-// -bench-json records and the perf trajectory).
-func ExperimentFull(name string, cfg ExperimentConfig) (string, map[string]float64, error) {
-	fn, ok := experiments[strings.ToLower(name)]
+// ExperimentFull is ExperimentOpt returning the whole result: besides the
+// report, the perf metrics of fig10–fig14 (nil for the rest) and the
+// effective axis of fig10, fig12 and fig14, which the CLI writes into
+// -bench-json records and the perf trajectory.
+func ExperimentFull(name string, cfg ExperimentConfig) (ExperimentResult, error) {
+	run, ok := bench.Lookup(name)
 	if !ok {
-		return "", nil, fmt.Errorf("embench: unknown experiment %q (one of %s)",
+		return ExperimentResult{}, fmt.Errorf("embench: unknown experiment %q (one of %s)",
 			name, strings.Join(Experiments(), ", "))
 	}
 	var arrivals []serve.ArrivalKind
 	for _, s := range cfg.Arrivals {
 		kind, err := serve.ParseArrival(s)
 		if err != nil {
-			return "", nil, err
+			return ExperimentResult{}, err
 		}
 		arrivals = append(arrivals, kind)
 	}
 	for _, n := range cfg.Tenants {
 		if n < 1 {
-			return "", nil, fmt.Errorf("embench: tenant count %d must be positive", n)
+			return ExperimentResult{}, fmt.Errorf("embench: tenant count %d must be positive", n)
 		}
 	}
 	if cfg.SLO < 0 {
-		return "", nil, fmt.Errorf("embench: negative SLO %v", cfg.SLO)
+		return ExperimentResult{}, fmt.Errorf("embench: negative SLO %v", cfg.SLO)
 	}
 	autoscale, err := serve.ParseAutoscale(cfg.Autoscale)
 	if err != nil {
-		return "", nil, err
+		return ExperimentResult{}, err
 	}
-	out := fn(bench.Config{
+	return run(bench.Config{
 		Episodes:    cfg.Episodes,
 		Seed:        cfg.Seed,
 		Parallelism: cfg.Parallelism,
@@ -360,6 +316,5 @@ func ExperimentFull(name string, cfg ExperimentConfig) (string, map[string]float
 		Tenants:     cfg.Tenants,
 		SLO:         cfg.SLO,
 		Autoscale:   autoscale,
-	})
-	return out.report, out.metrics, nil
+	}), nil
 }

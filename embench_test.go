@@ -109,7 +109,7 @@ func TestExperimentFig12InvalidConfig(t *testing.T) {
 		"bad autoscale":  {Episodes: 1, Seed: 1, Autoscale: "up=2"},
 		"autoscale typo": {Episodes: 1, Seed: 1, Autoscale: "interval=abc"},
 	} {
-		if _, _, err := ExperimentFull("fig12", cfg); err == nil {
+		if _, err := ExperimentFull("fig12", cfg); err == nil {
 			t.Errorf("%s: ExperimentFull accepted %+v", name, cfg)
 		}
 	}
@@ -118,12 +118,39 @@ func TestExperimentFig12InvalidConfig(t *testing.T) {
 	base.Tenants = []int{4}
 	base.SLO = 45 * time.Second
 	base.Autoscale = "interval=20s,cold=5s,min=1"
-	out, _, err := ExperimentFull("fig12", base)
+	res, err := ExperimentFull("fig12", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "bursty") || !strings.Contains(out, "autoscaled") {
+	if out := res.Report; !strings.Contains(out, "bursty") || !strings.Contains(out, "autoscaled") {
 		t.Fatalf("fig12 output unexpected:\n%s", out)
+	}
+}
+
+// TestExperimentRecordKeys: a perf record's experiment name and axis are
+// canonical, so one configuration is one trajectory series however it was
+// spelled — any case of the name, any order of an autoscale spec's keys.
+func TestExperimentRecordKeys(t *testing.T) {
+	res, err := ExperimentFull("FIG13", ExperimentConfig{Episodes: 1, Seed: 1})
+	if err != nil || res.Name != "fig13" {
+		t.Fatalf("ExperimentFull(FIG13) = name %q, %v; want fig13", res.Name, err)
+	}
+	axis := func(autoscale string) string {
+		t.Helper()
+		res, err := ExperimentFull("fig12", ExperimentConfig{
+			Episodes: 1, Seed: 1, Arrivals: []string{"bursty"}, Tenants: []int{4}, Autoscale: autoscale,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Axis
+	}
+	a, b := axis("interval=15s,cold=10s"), axis(" cold=10s , interval=15s")
+	if a != b {
+		t.Errorf("one autoscale policy, two axes: %q vs %q", a, b)
+	}
+	if want := "arrivals=bursty;tenants=4;slo=1m0s;autoscale=default"; axis("") != want {
+		t.Errorf("default autoscale axis = %q, want %q", axis(""), want)
 	}
 }
 

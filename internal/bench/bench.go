@@ -14,7 +14,9 @@
 package bench
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"time"
 
 	"embench/internal/metrics"
@@ -42,12 +44,13 @@ type Config struct {
 	// Arrivals overrides fig12's arrival-process axis (nil = all three:
 	// poisson, bursty, diurnal).
 	Arrivals []serve.ArrivalKind
-	// Tenants overrides fig12's tenant-count axis (nil = Fig12Tenants).
+	// Tenants overrides fig12's tenant-count axis (nil = Fig12Tenants);
+	// fig14 runs its first value (nil = 24).
 	Tenants []int
-	// SLO overrides fig12's end-to-end latency target (0 = Fig12SLO).
+	// SLO overrides fig12's and fig14's latency target (0 = Fig12SLO).
 	SLO time.Duration
-	// Autoscale overrides fig12's autoscaled-deployment policy (zero =
-	// fig12Autoscale defaults).
+	// Autoscale overrides fig12's and fig14's autoscaled-deployment
+	// policy (zero = fig12Autoscale).
 	Autoscale serve.Autoscale
 }
 
@@ -56,6 +59,24 @@ func (c Config) episodes() int {
 		return 5
 	}
 	return c.Episodes
+}
+
+// The accessors below read one override each, its default filled in; the
+// experiments and their perf-record axes both read them. fig12 and fig14
+// default the tenant axis apiece.
+func (c Config) fleetSizes() []int             { return orDefault(c.FleetSizes, Fig10FleetSizes) }
+func (c Config) fleetShards() []int            { return orDefault(c.FleetShards, Fig10Shards) }
+func (c Config) arrivals() []serve.ArrivalKind { return orDefault(c.Arrivals, serve.ArrivalKinds()) }
+func (c Config) tenants(def []int) []int       { return orDefault(c.Tenants, def) }
+func (c Config) slo() time.Duration            { return cmp.Or(max(c.SLO, 0), Fig12SLO) }
+func (c Config) autoscale() serve.Autoscale    { return cmp.Or(c.Autoscale, fig12Autoscale) }
+
+// orDefault is v, or def when v is empty.
+func orDefault[T any](v, def []T) []T {
+	if len(v) == 0 {
+		return def
+	}
+	return v
 }
 
 // mutation rewrites a workload's agent configuration for an ablation.
@@ -141,6 +162,17 @@ func kindShare(traces []*trace.Trace, kind string) float64 {
 		return 0
 	}
 	return match / total
+}
+
+// row returns the report row whose cell is k, panicking on a malformed
+// report — metrics and tests index cells by name.
+func row[K comparable, R interface{ cell() K }](rows []R, k K) R {
+	for _, r := range rows {
+		if r.cell() == k {
+			return r
+		}
+	}
+	panic(fmt.Sprintf("bench: missing cell %+v", k))
 }
 
 // mustGet resolves a workload or panics — experiment tables are static.

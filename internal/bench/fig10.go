@@ -165,14 +165,7 @@ func fig10Serve(routing serve.RoutingPolicy) serve.Config {
 // Fig10 sweeps both panels. cfg.FleetSizes and cfg.FleetShards
 // override the axes (the CLI's -fleet-sizes / -serve-shards).
 func Fig10(cfg Config) Fig10Report {
-	sizes := cfg.FleetSizes
-	if len(sizes) == 0 {
-		sizes = Fig10FleetSizes
-	}
-	shards := cfg.FleetShards
-	if len(shards) == 0 {
-		shards = Fig10Shards
-	}
+	sizes, shards := cfg.fleetSizes(), cfg.fleetShards()
 	var rep Fig10Report
 
 	// Merge scale sweep.

@@ -116,45 +116,20 @@ func fig12Config(d fig12Deployment) serve.Config {
 	}
 }
 
-// fig12Axes resolves the sweep axes from a Config, defaulting each.
-func fig12Axes(cfg Config) (arrivals []serve.ArrivalKind, tenants []int, slo time.Duration, as serve.Autoscale) {
-	arrivals = cfg.Arrivals
-	if len(arrivals) == 0 {
-		arrivals = serve.ArrivalKinds()
-	}
-	tenants = cfg.Tenants
-	if len(tenants) == 0 {
-		tenants = Fig12Tenants
-	}
-	slo = cfg.SLO
-	if slo <= 0 {
-		slo = Fig12SLO
-	}
-	as = cfg.Autoscale
-	if as == (serve.Autoscale{}) {
-		as = fig12Autoscale
-	}
-	return arrivals, tenants, slo, as
-}
-
 // Fig12 runs the sweep. Every cell is one deterministic open-loop replay of
 // a generated traffic stream; the function is sequential by construction,
 // so results are identical at any Config.Parallelism.
 func Fig12(cfg Config) Fig12Report {
-	arrivals, tenants, slo, as := fig12Axes(cfg)
+	slo, as := cfg.slo(), cfg.autoscale()
 	rep := Fig12Report{SLO: slo}
-	for _, kind := range arrivals {
-		for _, n := range tenants {
+	for _, kind := range cfg.arrivals() {
+		for _, n := range cfg.tenants(Fig12Tenants) {
 			reqs := serve.GenerateTraffic(serve.Traffic{
 				Kind: kind, Tenants: n, Horizon: fig12Horizon, Seed: cfg.Seed,
 			})
 			for _, d := range fig12Deployments(as) {
 				res := serve.Replay(fig12Config(d), reqs)
 				s := res.Stats
-				cost := s.ReplicaTime.Seconds()
-				if cost == 0 { // static deployment: flat provisioning
-					cost = float64(d.replicas) * res.Makespan.Seconds()
-				}
 				rep.Rows = append(rep.Rows, Fig12Row{
 					Arrival: kind, Tenants: n, Deploy: d.name, Replicas: d.replicas,
 					Requests: len(res.Completions), Makespan: res.Makespan,
@@ -163,7 +138,7 @@ func Fig12(cfg Config) Fig12Report {
 					P99:            s.LatencyHist.Quantile(0.99),
 					QueueP99:       s.QueueWaitHist.Quantile(0.99),
 					Attainment:     s.SLOAttainment(slo),
-					ReplicaSeconds: cost,
+					ReplicaSeconds: replicaSeconds(res, d.replicas),
 					ScaleUps:       s.ScaleUps,
 					ScaleDowns:     s.ScaleDowns,
 					EvictedTokens:  s.EvictedTokens,
@@ -175,16 +150,23 @@ func Fig12(cfg Config) Fig12Report {
 	return rep
 }
 
-// fig12Find returns the row of one cell, panicking on a malformed report —
-// metrics and tests index cells by name.
-func fig12Find(rep Fig12Report, kind serve.ArrivalKind, tenants int, deploy string) Fig12Row {
-	for _, r := range rep.Rows {
-		if r.Arrival == kind && r.Tenants == tenants && r.Deploy == deploy {
-			return r
-		}
+// replicaSeconds is a replay's provisioning cost: the autoscaler's
+// active-replica time integral, or replicas x makespan for a static
+// deployment.
+func replicaSeconds(res serve.ReplayResult, replicas int) float64 {
+	if cost := res.Stats.ReplicaTime.Seconds(); cost != 0 {
+		return cost
 	}
-	panic(fmt.Sprintf("bench: fig12 missing cell %s/t%d/%s", kind, tenants, deploy))
+	return float64(replicas) * res.Makespan.Seconds()
 }
+
+type fig12Cell struct {
+	arrival serve.ArrivalKind
+	tenants int
+	deploy  string
+}
+
+func (r Fig12Row) cell() fig12Cell { return fig12Cell{r.Arrival, r.Tenants, r.Deploy} }
 
 // Fig12Metrics flattens the acceptance evidence for the perf trajectory:
 // per (arrival, tenants) panel, the autoscaler's attainment and cost
@@ -198,8 +180,8 @@ func Fig12Metrics(rep Fig12Report) map[string]float64 {
 			continue
 		}
 		seen[key] = true
-		large := fig12Find(rep, r.Arrival, r.Tenants, "static-large")
-		auto := fig12Find(rep, r.Arrival, r.Tenants, "autoscaled")
+		large := row(rep.Rows, fig12Cell{r.Arrival, r.Tenants, "static-large"})
+		auto := row(rep.Rows, fig12Cell{r.Arrival, r.Tenants, "autoscaled"})
 		m[key+"_autoscaled_attainment"] = auto.Attainment
 		if large.Attainment > 0 {
 			m[key+"_attainment_ratio"] = auto.Attainment / large.Attainment

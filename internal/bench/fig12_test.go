@@ -21,9 +21,9 @@ func TestFig12Shape(t *testing.T) {
 	}
 	for _, kind := range arrivals {
 		for _, n := range tenants {
-			small := fig12Find(rep, kind, n, "static-small")
-			large := fig12Find(rep, kind, n, "static-large")
-			auto := fig12Find(rep, kind, n, "autoscaled")
+			small := row(rep.Rows, fig12Cell{kind, n, "static-small"})
+			large := row(rep.Rows, fig12Cell{kind, n, "static-large"})
+			auto := row(rep.Rows, fig12Cell{kind, n, "autoscaled"})
 			if small.Requests == 0 || small.Requests != large.Requests || small.Requests != auto.Requests {
 				t.Fatalf("%s/t%d: request counts diverge: %d/%d/%d",
 					kind, n, small.Requests, large.Requests, auto.Requests)
@@ -75,8 +75,8 @@ func TestFig12Deterministic(t *testing.T) {
 func TestFig12Acceptance(t *testing.T) {
 	rep := Fig12(fig12TestConfig())
 	for _, n := range Fig12Tenants {
-		large := fig12Find(rep, serve.ArriveBursty, n, "static-large")
-		auto := fig12Find(rep, serve.ArriveBursty, n, "autoscaled")
+		large := row(rep.Rows, fig12Cell{serve.ArriveBursty, n, "static-large"})
+		auto := row(rep.Rows, fig12Cell{serve.ArriveBursty, n, "autoscaled"})
 		t.Logf("bursty/t%d: attainment auto %.3f vs large %.3f; cost auto %.0f vs large %.0f (ratio %.2f)",
 			n, auto.Attainment, large.Attainment,
 			auto.ReplicaSeconds, large.ReplicaSeconds,

@@ -168,16 +168,13 @@ func Fig13(cfg Config) Fig13Report {
 	return rep
 }
 
-// fig13Find returns one cell's row, panicking on a malformed report —
-// metrics and tests index cells by name.
-func fig13Find(rep Fig13Report, agents int, deploy string, pipeline bool) Fig13Row {
-	for _, r := range rep.Rows {
-		if r.Agents == agents && r.Deploy == deploy && r.Pipeline == pipeline {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("bench: fig13 missing cell t%d/%s/pipeline=%v", agents, deploy, pipeline))
+type fig13Cell struct {
+	agents   int
+	deploy   string
+	pipeline bool
 }
+
+func (r Fig13Row) cell() fig13Cell { return fig13Cell{r.Agents, r.Deploy, r.Pipeline} }
 
 // Fig13Metrics flattens the acceptance evidence for the perf trajectory:
 // per team size, the pipeline's speedup on the balanced split, the
@@ -187,10 +184,10 @@ func Fig13Metrics(rep Fig13Report) map[string]float64 {
 	m := make(map[string]float64)
 	for _, n := range Fig13Agents {
 		key := fmt.Sprintf("t%d", n)
-		balOff := fig13Find(rep, n, "balanced", false)
-		balOn := fig13Find(rep, n, "balanced", true)
-		monoOff := fig13Find(rep, n, "monolithic", false)
-		starved := fig13Find(rep, n, "decode-starved", false)
+		balOff := row(rep.Rows, fig13Cell{n, "balanced", false})
+		balOn := row(rep.Rows, fig13Cell{n, "balanced", true})
+		monoOff := row(rep.Rows, fig13Cell{n, "monolithic", false})
+		starved := row(rep.Rows, fig13Cell{n, "decode-starved", false})
 		if balOn.TaskLatency > 0 {
 			m[key+"_pipeline_speedup"] = float64(balOff.TaskLatency) / float64(balOn.TaskLatency)
 		}

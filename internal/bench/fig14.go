@@ -170,11 +170,8 @@ func fig14Requests(reqs []serve.Request, deadline time.Duration) []serve.Request
 // panel), every (MTBF, policy) cell a deterministic open-loop replay.
 // Sequential by construction, identical at any Config.Parallelism.
 func Fig14(cfg Config) Fig14Report {
-	_, _, slo, as := fig12Axes(cfg)
-	tenants := 24
-	if len(cfg.Tenants) > 0 {
-		tenants = cfg.Tenants[0]
-	}
+	slo, as := cfg.slo(), cfg.autoscale()
+	tenants := cfg.tenants([]int{24})[0]
 	reqs := serve.GenerateTraffic(serve.Traffic{
 		Kind: serve.ArriveBursty, Tenants: tenants, Horizon: fig12Horizon, Seed: cfg.Seed,
 	})
@@ -184,10 +181,6 @@ func Fig14(cfg Config) Fig14Report {
 		for _, p := range fig14Policies() {
 			res := serve.Replay(fig14Config(as, fx, p), fig14Requests(reqs, p.deadline))
 			s := res.Stats
-			cost := s.ReplicaTime.Seconds()
-			if cost == 0 {
-				cost = float64(fig14Replicas) * res.Makespan.Seconds()
-			}
 			att := 0.0
 			if len(reqs) > 0 {
 				att = s.SLOAttainment(slo) * float64(s.Requests) / float64(len(reqs))
@@ -202,7 +195,7 @@ func Fig14(cfg Config) Fig14Report {
 				P95:            s.LatencyHist.Quantile(0.95),
 				P99:            s.LatencyHist.Quantile(0.99),
 				Attainment:     att,
-				ReplicaSeconds: cost,
+				ReplicaSeconds: replicaSeconds(res, fig14Replicas),
 				ScaleUps:       s.ScaleUps,
 				Makespan:       res.Makespan,
 			})
@@ -211,15 +204,12 @@ func Fig14(cfg Config) Fig14Report {
 	return rep
 }
 
-// fig14Find returns one cell, panicking on a malformed report.
-func fig14Find(rep Fig14Report, mtbf time.Duration, policy string) Fig14Row {
-	for _, r := range rep.Rows {
-		if r.MTBF == mtbf && r.Policy == policy {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("bench: fig14 missing cell mtbf=%v/%s", mtbf, policy))
+type fig14Cell struct {
+	mtbf   time.Duration
+	policy string
 }
+
+func (r Fig14Row) cell() fig14Cell { return fig14Cell{r.MTBF, r.Policy} }
 
 // fig14MTBFLabel names an MTBF step for metrics keys and the table.
 func fig14MTBFLabel(mtbf time.Duration) string {
@@ -236,8 +226,8 @@ func Fig14Metrics(rep Fig14Report) map[string]float64 {
 	m := make(map[string]float64)
 	for _, mtbf := range Fig14MTBFs {
 		key := "mtbf_" + fig14MTBFLabel(mtbf)
-		none := fig14Find(rep, mtbf, "none")
-		full := fig14Find(rep, mtbf, "retry+hedge+shed")
+		none := row(rep.Rows, fig14Cell{mtbf, "none"})
+		full := row(rep.Rows, fig14Cell{mtbf, "retry+hedge+shed"})
 		m[key+"_none_attainment"] = none.Attainment
 		m[key+"_full_attainment"] = full.Attainment
 		m[key+"_attainment_gain"] = full.Attainment - none.Attainment

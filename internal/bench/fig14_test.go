@@ -27,7 +27,7 @@ func TestFig14GracefulDegradation(t *testing.T) {
 	// Fault-free: every policy step attains the SLO fully and no failure
 	// machinery fires — resilience must cost nothing when nothing fails.
 	for _, p := range []string{"none", "retry", "retry+hedge", "retry+hedge+shed"} {
-		r := fig14Find(rep, 0, p)
+		r := row(rep.Rows, fig14Cell{0, p})
 		if r.Attainment < 0.999 {
 			t.Errorf("fault-free %s: attainment %.3f, want 1.0", p, r.Attainment)
 		}
@@ -44,8 +44,8 @@ func TestFig14GracefulDegradation(t *testing.T) {
 	// clears the no-policy baseline by at least a point of attainment.
 	var lastDowntime time.Duration
 	for _, mtbf := range Fig14MTBFs[1:] {
-		none := fig14Find(rep, mtbf, "none")
-		full := fig14Find(rep, mtbf, "retry+hedge+shed")
+		none := row(rep.Rows, fig14Cell{mtbf, "none"})
+		full := row(rep.Rows, fig14Cell{mtbf, "retry+hedge+shed"})
 		if none.Downtime <= 0 || none.FailedBatches <= 0 {
 			t.Errorf("mtbf %v: downtime %v, failed batches %d — faults not injected?",
 				mtbf, none.Downtime, none.FailedBatches)
@@ -64,8 +64,8 @@ func TestFig14GracefulDegradation(t *testing.T) {
 
 	// Mid rate: straggler batches are the dominant SLO killer and only
 	// hedging routes around them — hedges must be winning races here.
-	midFull := fig14Find(rep, fig14Mid, "retry+hedge+shed")
-	if gain := midFull.Attainment - fig14Find(rep, fig14Mid, "none").Attainment; gain < 0.015 {
+	midFull := row(rep.Rows, fig14Cell{fig14Mid, "retry+hedge+shed"})
+	if gain := midFull.Attainment - row(rep.Rows, fig14Cell{fig14Mid, "none"}).Attainment; gain < 0.015 {
 		t.Errorf("mid mtbf: full-ladder gain %.3f, want >= 0.015", gain)
 	}
 	if midFull.Hedges <= 0 || midFull.HedgeWins <= 0 {
@@ -76,9 +76,9 @@ func TestFig14GracefulDegradation(t *testing.T) {
 	// Extreme rate: deadlines prune doomed queues (retry-only beats the
 	// baseline by a wide margin), shedding finally binds and buys a far
 	// better served tail than letting every request wait out the collapse.
-	hiNone := fig14Find(rep, fig14High, "none")
-	hiRetry := fig14Find(rep, fig14High, "retry")
-	hiFull := fig14Find(rep, fig14High, "retry+hedge+shed")
+	hiNone := row(rep.Rows, fig14Cell{fig14High, "none"})
+	hiRetry := row(rep.Rows, fig14Cell{fig14High, "retry"})
+	hiFull := row(rep.Rows, fig14Cell{fig14High, "retry+hedge+shed"})
 	if gain := hiRetry.Attainment - hiNone.Attainment; gain < 0.03 {
 		t.Errorf("high mtbf: retry gain %.3f over baseline, want >= 0.03", gain)
 	}
