@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -363,4 +364,42 @@ func TestReplayTraceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(first, plain) {
 		t.Fatal("recording a replay changed its result")
 	}
+}
+
+// FuzzTraceSurface feeds arbitrary bytes through the trace replay surface:
+// obs.ReadJSONL, obs.Validate, TraceRequests, then Replay on at most 64 of
+// the requests. Every input must parse or error, never panic; a stream
+// that validates replays to termination with every request accounted for.
+// The seed is a recorded replay.
+func FuzzTraceSurface(f *testing.F) {
+	cfg, _ := specConfig(nil)
+	recCfg := cfg
+	recCfg.MaxBatch = 1 // TraceRequests rejects batched recordings
+	rec := obs.NewRecorder()
+	ReplayObserved(recCfg, GenerateTraffic(Traffic{Seed: 1})[:8], rec)
+	var seed bytes.Buffer
+	if err := obs.WriteJSONL(&seed, rec.Events()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := obs.ReadJSONL(bytes.NewReader(data))
+		if err != nil || obs.Validate(events) != nil {
+			return
+		}
+		reqs, err := TraceRequests(events)
+		if err != nil {
+			return
+		}
+		if len(reqs) > 64 {
+			reqs = reqs[:64]
+		}
+		res := Replay(cfg, reqs)
+		s := res.Stats
+		if len(res.Completions) != len(reqs) || s.Requests+s.ShedRequests+s.TimedOut != len(reqs) {
+			t.Fatalf("%d requests replayed to %d completions, %d served + %d shed + %d timed out",
+				len(reqs), len(res.Completions), s.Requests, s.ShedRequests, s.TimedOut)
+		}
+	})
 }
