@@ -16,20 +16,22 @@ type Entry struct {
 	WallMS     float64 `json:"wall_ms"`
 	ReportB    int     `json:"report_bytes,omitempty"`
 	ReportRows int     `json:"report_lines,omitempty"`
-	// Axis describes experiment-specific sweep axes (fig10's fleet
-	// sizes/shards); distinct axes are distinct run configurations.
+	// Axis names the effective values of the overrides the experiment
+	// reads (fig10's fleet sizes and shards; fig12's and fig14's tenants,
+	// SLO and autoscale policy, plus fig12's arrivals); distinct axes are
+	// distinct run configurations.
 	Axis string `json:"axis,omitempty"`
-	// Metrics carries experiment-specific perf numbers (fig10's
-	// per-fleet-size heap-vs-linear wall times and speedups), so the
-	// trajectory records before/after evidence, not just total wall time.
+	// Metrics carries experiment-specific perf numbers (fig10's admission
+	// rates, fig11–fig14's simulated acceptance evidence), so the
+	// trajectory records more than total wall time.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // ConfigKey identifies the entry's run configuration. Wall times are only
 // comparable between runs of the same configuration, so trajectory
 // baselines are keyed on this, not on the experiment name alone. Axis
-// (when set — fig10's fleet-size/shard sweep) is part of the key: a
-// reduced-axis CI run and a full-ladder local run are different workloads.
+// (when set — fig10, fig12 and fig14) is part of the key: a reduced-axis
+// CI run and a full-ladder local run are different workloads.
 func (e Entry) ConfigKey() string {
 	k := fmt.Sprintf("%s|ep%d|seed%d|procs%d", e.Experiment, e.Episodes, e.Seed, e.Procs)
 	if e.Axis != "" {
