@@ -71,26 +71,21 @@ type Endpoint struct {
 	asLast   time.Duration // previous tick (replica-time integral anchor)
 	busyAcc  time.Duration // cumulative in-batch replica time
 	lastBusy time.Duration // busyAcc at the previous evaluation
-	// Single-call scratch, reused across Serve calls (the endpoint is not
-	// concurrency-safe by contract): the prefix-chain buffer, plus the
-	// one-element call, key, out-token and result slices Serve hands to
-	// launch, so the unbatched hot path allocates nothing per request. A
-	// disaggregated parent uses oneCall/oneServed the same way for its
-	// stage pools. mbuf is admitBatch's per-member pricing.
-	kbuf      []sectionKey
+	// Closed-loop scratch, reused across calls (the endpoint is not
+	// concurrency-safe by contract): Serve hands serveBatch the one-element
+	// oneCall/oneServed slices, so the unbatched hot path allocates nothing
+	// per request. serveBatch keeps the members' hashed prompts in bkeys and
+	// their generation lengths in bouts, and slices their chains out of one
+	// shared section-key arena, sized up front so appending never
+	// reallocates under an already-handed-out promptKey. mbuf is
+	// admitBatch's per-member pricing.
 	oneCall   [1]llm.Call
-	oneKey    [1]promptKey
-	oneOut    [1]int
 	oneServed [1]llm.Served
+	bkeys     []promptKey
+	bouts     []int
+	barena    []sectionKey
 	mbuf      []admitted
-	// Batch-call scratch for serveBatch (same contract): the per-member key
-	// and out-token slices, plus one shared section-key arena the members'
-	// chains are sliced out of — sized up front so appending never
-	// reallocates under an already-handed-out promptKey.
-	bkeys  []promptKey
-	bouts  []int
-	barena []sectionKey
-	seen   map[uint64]bool // batchPressure's dedup scratch
+	seen      map[uint64]bool // penalty's dedup scratch
 	// Flight-recorder seam (see obs.go / internal/serve/obs): nil sink is
 	// the zero-cost default — every emission below is guarded, so the
 	// un-instrumented path is byte-identical and allocation-free. shard
@@ -241,7 +236,8 @@ func (e *Endpoint) Reset() {
 
 // Serve is the closed-loop entry point: one live request, submitted at the
 // calling agent's virtual time, resolved immediately against the endpoint's
-// current timeline. It implements llm.Backend.
+// current timeline. It implements llm.Backend, and is serveBatch over a
+// batch of one.
 //
 // Admission is in submission order (the order episode code issues calls, or
 // the globally merged virtual-time order under a Fleet), which is
@@ -249,101 +245,11 @@ func (e *Endpoint) Reset() {
 // batching, so contention emerges whenever per-agent clocks overlap.
 // Continuous batching appears as a join window: a request arriving within
 // MaxWait of the frontier batch's start joins it, paying its own prefill
-// and the incremental decode slowdown, without disturbing the already
-// reported completions of earlier members. The routing policy picks the
-// replica (see RoutingPolicy).
+// and the incremental decode slowdown (see join). The routing policy picks
+// the replica (see RoutingPolicy).
 func (e *Endpoint) Serve(c llm.Call) llm.Served {
-	if e.dis != nil {
-		e.oneCall[0] = c
-		e.dis.serve(e, e.oneCall[:], e.oneServed[:])
-		return e.oneServed[0]
-	}
-	if e.fx != nil {
-		// Apply every crash window that has begun by the arrival watermark
-		// first, so routing and the autoscaler below see live replicas only.
-		e.applyFaults(c.Arrival)
-	}
-	e.maybeAutoscale(c.Arrival)
-	// Hash the prompt's prefix chain exactly once; routing probes and
-	// admission pricing below all share this key.
-	k := e.chainInto(e.kbuf, c.Prompt)
-	e.kbuf = k.secs
-	var req int64
-	if e.sink != nil {
-		req = e.nextReq()
-		e.emitSubmit(req, c.Agent, c.Arrival, c.Prompt, c.OutTokens, 0)
-	}
-	r := e.route(c.Arrival, k, c.OutTokens)
-	if e.sink != nil {
-		e.emitRoute(req, c.Arrival, r, k)
-	}
-
-	// Join the in-flight frontier batch when the window allows. Under fault
-	// injection a join must also prove the extended batch still ends before
-	// the replica's next scheduled crash (joinSafe probes without mutating);
-	// an unsafe join falls through to the new-batch path, whose crash-retry
-	// loop re-routes the request.
-	if e.cfg.MaxBatch > 1 && r.batchN > 0 && r.batchN < e.cfg.MaxBatch &&
-		c.Arrival <= r.batchStart+e.cfg.MaxWait && r.freeAt > c.Arrival &&
-		(e.fx == nil || e.joinSafe(r, k, c.OutTokens)) {
-		var ri, evBefore int
-		if e.sink != nil {
-			ri = e.rindex(r)
-			_, _, evBefore = r.cache.stats()
-		}
-		eff, cached, total := e.promptCostOn(r, k)
-		end := e.joinedEnd(r, eff, c.OutTokens)
-		r.requests++
-		r.batchN++
-		r.batchTok += eff
-		if c.OutTokens > r.batchOut {
-			r.batchOut = c.OutTokens
-		}
-		// The join restates every member's completion to the new end: shift
-		// the buffered final latencies by the extension before appending the
-		// joiner's own.
-		for i := range r.lats {
-			r.lats[i] += end - r.batchEnd
-		}
-		r.lats = append(r.lats, end-c.Arrival)
-		e.busyAcc += end - r.batchEnd
-		if e.sink != nil {
-			e.emitCache(req, c.Arrival, ri, cached, total)
-			e.emitEvict(c.Arrival, ri, evBefore)
-			e.sink.Event(obs.Event{
-				Kind: obs.KindBatchJoin, T: c.Arrival, Shard: e.shard,
-				Replica: ri, Req: req, Batch: r.batchN, Dur: end - r.batchEnd,
-			})
-		}
-		r.batchEnd, r.freeAt = end, end
-		wait := time.Duration(0)
-		if c.Arrival < r.batchStart {
-			wait = r.batchStart - c.Arrival
-		}
-		// Restate the batch's stats at its new size: every member — the
-		// already-reported ones included — rode a batch of batchN sequences
-		// taking (end - start) each.
-		svc := time.Duration(r.batchN)*(end-r.batchStart) - r.recService
-		seqs := r.batchN*r.batchN - r.recSeqs
-		e.record(svc, wait, seqs, cached, total)
-		r.recService += svc
-		r.recSeqs += seqs
-		if e.sink != nil {
-			e.emitComplete(req, c.Agent, ri, end, end-c.Arrival, wait, r.batchN, cached, total)
-		}
-		// The member's decode share is the extended batch's, clamped to its
-		// own as-served latency (a late joiner's latency can be shorter than
-		// the batch span it rode).
-		dec := min(e.decodeShare(r.batchN, r.batchTok, end-r.batchStart), end-c.Arrival)
-		return llm.Served{
-			Latency: end - c.Arrival, QueueWait: wait,
-			BatchSize: r.batchN, CachedTokens: cached, PromptTokens: total,
-			Decode: dec,
-		}
-	}
-
-	e.oneCall[0], e.oneKey[0], e.oneOut[0] = c, k, c.OutTokens
-	e.launch(r, c.Arrival, e.oneCall[:], e.oneKey[:], e.oneOut[:], req, e.oneServed[:])
+	e.oneCall[0] = c
+	e.serveBatch(e.oneCall[:], e.oneServed[:])
 	return e.oneServed[0]
 }
 
@@ -372,27 +278,25 @@ func batchArrival(calls []llm.Call) time.Duration {
 	return t
 }
 
-// serveBatch is ServeBatch writing into out (len(out) == len(calls) > 0).
-// A single call is served exactly as Serve serves it.
+// serveBatch is the one closed-loop admission path, behind Serve and
+// ServeBatch alike, writing each member's result into out (len(out) ==
+// len(calls) > 0). It catches faults and the autoscaler up to the batch's
+// arrival, hashes every member's prefix chain exactly once (routing probes
+// and admission pricing share the keys), routes, and then either joins a
+// single call onto the routed replica's in-flight batch or launches the
+// calls as a new batch.
 func (e *Endpoint) serveBatch(calls []llm.Call, out []llm.Served) {
-	if len(calls) == 1 {
-		out[0] = e.Serve(calls[0])
-		return
-	}
 	if e.dis != nil {
 		e.dis.serve(e, calls, out)
 		return
 	}
 	arrival := batchArrival(calls)
 	if e.fx != nil {
+		// Apply every crash window that has begun by the arrival watermark
+		// first, so routing and the autoscaler below see live replicas only.
 		e.applyFaults(arrival)
 	}
 	e.maybeAutoscale(arrival)
-	// Hash the members' prefix chains into endpoint-owned scratch, exactly
-	// as Serve does for a single call: the key/out slices are reused across
-	// calls, and the chains share one section-key arena that is sized up
-	// front (growing it mid-loop would reallocate the backing array out
-	// from under the keys already built).
 	if cap(e.bkeys) < len(calls) {
 		e.bkeys = make([]promptKey, len(calls))
 		e.bouts = make([]int, len(calls))
@@ -411,7 +315,7 @@ func (e *Endpoint) serveBatch(calls []llm.Call, out []llm.Served) {
 		arena = arena[:len(arena)+len(keys[i].secs)]
 		outs[i] = c.OutTokens
 	}
-	r := e.routeBatch(arrival, keys, outs[0])
+	r := e.route(arrival, keys, outs[0])
 	var req0 int64
 	if e.sink != nil {
 		req0 = e.reqID + 1
@@ -420,7 +324,79 @@ func (e *Endpoint) serveBatch(calls []llm.Call, out []llm.Served) {
 		}
 		e.emitRoute(req0, arrival, r, keys[0])
 	}
+	// Only a single call joins the in-flight frontier batch, when the
+	// window allows. Under fault injection a join must also prove the
+	// extended batch still ends before the replica's next scheduled crash
+	// (joinSafe probes without mutating); an unsafe join falls through to
+	// the new-batch path, whose crash-retry loop re-routes the request.
+	if c := calls[0]; len(calls) == 1 && e.cfg.MaxBatch > 1 && r.batchN > 0 && r.batchN < e.cfg.MaxBatch &&
+		c.Arrival <= r.batchStart+e.cfg.MaxWait && r.freeAt > c.Arrival &&
+		(e.fx == nil || e.joinSafe(r, keys[0], c.OutTokens)) {
+		out[0] = e.join(r, c, keys[0], req0)
+		return
+	}
 	e.launch(r, arrival, calls, keys, outs, req0, out)
+}
+
+// join admits the single call c, with hashed prompt k and request id req
+// (sink path only), into r's in-flight frontier batch: it pays its own
+// prefill and the incremental decode slowdown, and every member's
+// completion is restated to the extended batch's end.
+func (e *Endpoint) join(r *replica, c llm.Call, k promptKey, req int64) llm.Served {
+	var ri, evBefore int
+	if e.sink != nil {
+		ri = e.rindex(r)
+		_, _, evBefore = r.cache.stats()
+	}
+	eff, cached, total := e.promptCostOn(r, k)
+	end := e.joinedEnd(r, eff, c.OutTokens)
+	r.requests++
+	r.batchN++
+	r.batchTok += eff
+	if c.OutTokens > r.batchOut {
+		r.batchOut = c.OutTokens
+	}
+	// The join restates every member's completion to the new end: shift
+	// the buffered final latencies by the extension before appending the
+	// joiner's own.
+	for i := range r.lats {
+		r.lats[i] += end - r.batchEnd
+	}
+	r.lats = append(r.lats, end-c.Arrival)
+	e.busyAcc += end - r.batchEnd
+	if e.sink != nil {
+		e.emitCache(req, c.Arrival, ri, cached, total)
+		e.emitEvict(c.Arrival, ri, evBefore)
+		e.sink.Event(obs.Event{
+			Kind: obs.KindBatchJoin, T: c.Arrival, Shard: e.shard,
+			Replica: ri, Req: req, Batch: r.batchN, Dur: end - r.batchEnd,
+		})
+	}
+	r.batchEnd, r.freeAt = end, end
+	wait := time.Duration(0)
+	if c.Arrival < r.batchStart {
+		wait = r.batchStart - c.Arrival
+	}
+	// Restate the batch's stats at its new size: every member — the
+	// already-reported ones included — rode a batch of batchN sequences
+	// taking (end - start) each.
+	svc := time.Duration(r.batchN)*(end-r.batchStart) - r.recService
+	seqs := r.batchN*r.batchN - r.recSeqs
+	e.record(svc, wait, seqs, cached, total)
+	r.recService += svc
+	r.recSeqs += seqs
+	if e.sink != nil {
+		e.emitComplete(req, c.Agent, ri, end, end-c.Arrival, wait, r.batchN, cached, total)
+	}
+	// The member's decode share is the extended batch's, clamped to its
+	// own as-served latency (a late joiner's latency can be shorter than
+	// the batch span it rode).
+	dec := min(e.decodeShare(r.batchN, r.batchTok, end-r.batchStart), end-c.Arrival)
+	return llm.Served{
+		Latency: end - c.Arrival, QueueWait: wait,
+		BatchSize: r.batchN, CachedTokens: cached, PromptTokens: total,
+		Decode: dec,
+	}
 }
 
 // launch is the closed-loop new-batch path shared by Serve and ServeBatch:
@@ -482,7 +458,7 @@ func (e *Endpoint) launch(r *replica, arrival time.Duration, calls []llm.Call, k
 		e.crashReplica(r, fi, w, n)
 		e.applyFaults(w.start)
 		arrival = w.start
-		r = e.routeBatch(arrival, keys, outs[0])
+		r = e.route(arrival, keys, outs[0])
 		if e.sink != nil {
 			e.emitRoute(req0, arrival, r, keys[0])
 		}

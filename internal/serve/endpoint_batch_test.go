@@ -33,7 +33,7 @@ func serveBatchFresh(e *Endpoint, calls []llm.Call) []llm.Served {
 	for i, c := range calls {
 		keys[i], outs[i] = chainKeysIdent(nil, c.Prompt, e.cfg.Identity), c.OutTokens
 	}
-	r := e.route(arrival, keys[0], calls[0].OutTokens)
+	r := e.route(arrival, keys[:1], calls[0].OutTokens)
 	start := arrival
 	if r.freeAt > start {
 		start = r.freeAt

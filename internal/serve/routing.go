@@ -59,19 +59,45 @@ func ParseIdentity(s string) (CacheIdentity, error) {
 		s, IdentityShape, IdentityContent)
 }
 
-// route picks the replica for a request under the endpoint's routing
-// policy. The memoized prompt key drives cache-aware policies (hashed once
-// per request, probed against every replica); arrival anchors completion
-// estimates.
-func (e *Endpoint) route(arrival time.Duration, k promptKey, outTokens int) *replica {
-	switch e.cfg.Routing {
-	case RouteCacheAffinity:
-		return e.routeCacheAffinity(arrival, k)
-	case RouteShortestCompletion:
-		return e.routeShortestCompletion(arrival, k, outTokens)
-	default:
+// route picks the replica for one request, or for an explicit batch with
+// one key per member, under the endpoint's routing policy. The memoized
+// prompt keys drive the cache-aware policies (hashed once per request,
+// probed against every replica); arrival anchors completion estimates. The
+// head key stands in for a batch, whose members share their leading prompt
+// structure by construction, while the capacity penalty prices every
+// member's insertion (see penalty). Cache-affinity picks the best
+// capacity-adjusted prefix coverage, earliest-free then lowest index on
+// ties; shortest-completion picks the earliest estimated completion (see
+// estimateCompletion). Like every routing loop it skips crashed replicas,
+// falling back to routeLeastLoaded when none is live.
+func (e *Endpoint) route(arrival time.Duration, keys []promptKey, outTokens int) *replica {
+	policy := e.cfg.Routing
+	if policy != RouteCacheAffinity && policy != RouteShortestCompletion {
 		return e.routeLeastLoaded(arrival)
 	}
+	act := e.replicas[:e.active]
+	var best *replica
+	var bestScore int
+	var bestDone time.Duration
+	for i := range act {
+		if e.fxDown(i, arrival) {
+			continue
+		}
+		r := &act[i]
+		hit := r.cache.matchKey(keys[0])
+		pen := e.penalty(r, keys, hit)
+		if policy == RouteCacheAffinity {
+			if score := hit - pen; best == nil || score > bestScore || (score == bestScore && r.freeAt < best.freeAt) {
+				best, bestScore = r, score
+			}
+		} else if done := e.estimateCompletion(r, arrival, keys[0].total, hit, pen, outTokens); best == nil || done < bestDone {
+			best, bestDone = r, done
+		}
+	}
+	if best == nil {
+		return e.routeLeastLoaded(arrival)
+	}
+	return best
 }
 
 // routeLeastLoaded returns the replica with the earliest freeAt, lowest
@@ -116,75 +142,19 @@ func affinityScore(r *replica, k promptKey) (score, hit int) {
 	return hit - r.cache.pressure(k, hit), hit
 }
 
-// routeCacheAffinity returns the replica with the best capacity-adjusted
-// prefix coverage of the keyed prompt; ties fall back to least-loaded, then
-// lowest index.
-func (e *Endpoint) routeCacheAffinity(t time.Duration, k promptKey) *replica {
-	act := e.replicas[:e.active]
-	var best *replica
-	bestScore := 0
-	for i := range act {
-		if e.fxDown(i, t) {
-			continue
-		}
-		r := &act[i]
-		score, _ := affinityScore(r, k)
-		if best == nil || score > bestScore || (score == bestScore && r.freeAt < best.freeAt) {
-			best, bestScore = r, score
-		}
+// penalty is the capacity-pressure penalty for placing the keyed prompts
+// on r, whose cache already holds hit tokens of the head prompt: the warm
+// tokens the insertion would evict. One prompt charges its uncached suffix
+// (prefixCache.pressure). An explicit batch charges every member's chain,
+// shared uncached prefixes counted once (prefixCache.batchGrowth): a
+// 16-member step-phase batch plants 16 persona chains, and charging only
+// one member's growth would let aggregated traffic pile onto the warm
+// replica that single-call routing has learned to spread. Zero without a
+// token budget, so entry-count deployments keep pure-affinity placement.
+func (e *Endpoint) penalty(r *replica, keys []promptKey, hit int) int {
+	if len(keys) == 1 {
+		return r.cache.pressure(keys[0], hit)
 	}
-	if best == nil {
-		return e.routeLeastLoaded(t)
-	}
-	return best
-}
-
-// routeShortestCompletion returns the replica minimizing the estimated
-// completion time of the request: start (arrival or the replica freeing,
-// whichever is later) plus single-sequence service under that replica's
-// cache discount. The estimate ignores join-window coalescing — like real
-// routers, it prices the request as if it ran alone.
-func (e *Endpoint) routeShortestCompletion(arrival time.Duration, k promptKey, outTokens int) *replica {
-	act := e.replicas[:e.active]
-	var best *replica
-	var bestDone time.Duration
-	for i := range act {
-		if e.fxDown(i, arrival) {
-			continue
-		}
-		r := &act[i]
-		if done := e.estimateCompletion(r, arrival, k, outTokens); best == nil || done < bestDone {
-			best, bestDone = r, done
-		}
-	}
-	if best == nil {
-		return e.routeLeastLoaded(arrival)
-	}
-	return best
-}
-
-// estimateCompletion prices one request on one replica without mutating
-// cache or timeline state. Under a token budget it also charges the
-// capacity-pressure penalty: warm tokens the insertion would evict will
-// have to be re-prefilled by their owners later, so that deferred cost —
-// the cache discount those tokens lose — is added to the effective prefill
-// now. Without a budget the penalty is zero and the estimate is the seed's.
-func (e *Endpoint) estimateCompletion(r *replica, arrival time.Duration, k promptKey, outTokens int) time.Duration {
-	start := arrival
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	cached := r.cache.matchKey(k)
-	eff := e.discountedEff(cached, k.total)
-	eff += float64(r.cache.pressure(k, cached)) * (1 - e.cfg.CachedPrefillFrac)
-	return start + e.cfg.Profile.BatchServiceTime(1, eff, outTokens)
-}
-
-// batchPressure is the capacity-pressure penalty for placing a whole
-// explicit batch on one replica: the warm tokens displaced by inserting
-// every member's chain (shared uncached prefixes counted once — see
-// prefixCache.batchGrowth). Zero without a token budget.
-func (e *Endpoint) batchPressure(r *replica, keys []promptKey) int {
 	if r.cache == nil || r.cache.capTokens <= 0 {
 		return 0
 	}
@@ -194,69 +164,17 @@ func (e *Endpoint) batchPressure(r *replica, keys []promptKey) int {
 	return r.cache.pressureGrowth(r.cache.batchGrowth(keys, e.seen))
 }
 
-// routeBatch places an explicitly aggregated batch (ServeBatch). The base
-// score is the seed's — the head member's key stands in for the batch,
-// whose members share their leading prompt structure by construction —
-// but under a token budget the capacity penalty prices the WHOLE batch's
-// insertion footprint: a 16-member step-phase batch plants 16 persona
-// chains, and charging only one member's growth would let aggregated
-// traffic pile onto the warm replica that single-call routing has learned
-// to spread (without a budget both terms vanish and this is exactly
-// route(arrival, keys[0], outTokens)). A single key routes through route
-// itself, so a re-admitted single call places exactly as Serve placed it.
-func (e *Endpoint) routeBatch(arrival time.Duration, keys []promptKey, outTokens int) *replica {
-	if len(keys) == 1 {
-		return e.route(arrival, keys[0], outTokens)
-	}
-	act := e.replicas[:e.active]
-	switch e.cfg.Routing {
-	case RouteCacheAffinity:
-		var best *replica
-		bestScore := 0
-		for i := range act {
-			if e.fxDown(i, arrival) {
-				continue
-			}
-			r := &act[i]
-			score := r.cache.matchKey(keys[0]) - e.batchPressure(r, keys)
-			if best == nil || score > bestScore || (score == bestScore && r.freeAt < best.freeAt) {
-				best, bestScore = r, score
-			}
-		}
-		if best == nil {
-			return e.routeLeastLoaded(arrival)
-		}
-		return best
-	case RouteShortestCompletion:
-		var best *replica
-		var bestDone time.Duration
-		for i := range act {
-			if e.fxDown(i, arrival) {
-				continue
-			}
-			r := &act[i]
-			if done := e.estimateBatchCompletion(r, arrival, keys, outTokens); best == nil || done < bestDone {
-				best, bestDone = r, done
-			}
-		}
-		if best == nil {
-			return e.routeLeastLoaded(arrival)
-		}
-		return best
-	default:
-		return e.routeLeastLoaded(arrival)
-	}
-}
-
-// estimateBatchCompletion is estimateCompletion with the batch-wide
-// capacity penalty in place of the single-prompt one.
-func (e *Endpoint) estimateBatchCompletion(r *replica, arrival time.Duration, keys []promptKey, outTokens int) time.Duration {
-	start := arrival
-	if r.freeAt > start {
-		start = r.freeAt
-	}
-	eff := e.discountedEff(r.cache.matchKey(keys[0]), keys[0].total)
-	eff += float64(e.batchPressure(r, keys)) * (1 - e.cfg.CachedPrefillFrac)
+// estimateCompletion prices a placement on r without mutating cache or
+// timeline state: start (arrival or r freeing, whichever is later) plus
+// single-sequence service of total prompt tokens, hit of them cached, and
+// outTokens generated. The estimate ignores join-window coalescing — like
+// real routers, it prices the request as if it ran alone. The capacity
+// penalty pen is added to the effective prefill at the cache discount it
+// forfeits: warm tokens the insertion evicts will have to be re-prefilled
+// by their owners later. Without a token budget pen is zero.
+func (e *Endpoint) estimateCompletion(r *replica, arrival time.Duration, total, hit, pen, outTokens int) time.Duration {
+	start := max(arrival, r.freeAt)
+	eff := e.discountedEff(hit, total) + float64(pen)*(1-e.cfg.CachedPrefillFrac)
 	return start + e.cfg.Profile.BatchServiceTime(1, eff, outTokens)
 }
 
@@ -279,8 +197,8 @@ func (e *Endpoint) routeIdle(now time.Duration, k promptKey) *replica {
 			// cache discount and the capacity penalty, so both cache-aware
 			// policies reduce to the best capacity-adjusted prefix match —
 			// with the same earliest-freeAt tie-break as closed-loop
-			// routeCacheAffinity, so open and closed loop route identically
-			// on identical state.
+			// cache-affinity route, so open and closed loop route
+			// identically on identical state.
 			score, _ := affinityScore(r, k)
 			if best == nil || score > bestScore ||
 				(score == bestScore && r.freeAt < best.freeAt) {

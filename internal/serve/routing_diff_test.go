@@ -213,7 +213,7 @@ func TestRouterMatchesReference(t *testing.T) {
 							} else {
 								want = refRouteBatch(e, at, keys[:n], calls[0].OutTokens)
 							}
-							got := e.routeBatch(at, keys[:n], calls[0].OutTokens)
+							got := e.route(at, keys[:n], calls[0].OutTokens)
 							if got != want {
 								t.Fatalf("replicas=%d %s budget=%+v %s step %d, %d keys: routed to replica %d, reference %d",
 									replicas, policy, b, variant, step, n, e.rindex(got), e.rindex(want))

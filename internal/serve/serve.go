@@ -22,7 +22,9 @@
 //     a replica's in-flight batch joins it (continuous batching), otherwise
 //     it starts a new batch on the replica the routing policy picks.
 //     Explicitly aggregated step-phase batches (llm.BatchBackend, paper
-//     Rec. 1) launch as one batch via ServeBatch.
+//     Rec. 1) launch as one batch via ServeBatch. Serve is ServeBatch of
+//     one call: both share one admission path, and only a single call may
+//     join an in-flight batch.
 //   - Open loop: Replay takes a full request trace (arrival offsets, prompt
 //     structure, generation lengths) and runs a discrete-event loop over
 //     it, forming batches of up to MaxBatch that launch when full, when the
@@ -43,9 +45,11 @@
 // Multi-replica endpoints place each new batch by a RoutingPolicy:
 // least-loaded (earliest-free replica), cache-affinity (replica with the
 // warmest matching prefix cache) or shortest-expected-completion (queueing
-// plus cache-discounted service, the latency-aware blend). Caches are per
-// replica, so routing decides not just load spread but which prefixes stay
-// hot where.
+// plus cache-discounted service, the latency-aware blend). One router
+// places single calls and explicit batches alike: a batch by its head
+// member's prefix, charged for the cache capacity all its members' chains
+// would take. Caches are per replica, so routing decides not just load
+// spread but which prefixes stay hot where.
 //
 // # Determinism
 //
