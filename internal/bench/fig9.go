@@ -189,7 +189,7 @@ func Fig9(cfg Config) Fig9Report {
 }
 
 // meanPlanCall reports the count and mean latency of planning-module LLM
-// calls ("plan", "plan(batched)", "plan(phase)") across traces.
+// calls ("plan", and "plan(phase)" for step-phase batches) across traces.
 func meanPlanCall(traces []*trace.Trace) (int, time.Duration) {
 	var n int
 	var total time.Duration

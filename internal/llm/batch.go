@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"embench/internal/prompt"
-	"embench/internal/trace"
 )
 
 // BatchDecodeSlowdown is the per-extra-sequence decode slowdown when
@@ -34,73 +33,6 @@ func (p Profile) BatchServiceTime(n int, promptTokens float64, maxOut int) time.
 		sec += float64(maxOut) / p.DecodeRate * slow
 	}
 	return time.Duration(sec * float64(time.Second))
-}
-
-// CompleteBatch aggregates several queries into one serving batch
-// (paper Rec. 1: "aggregate multiple queries into a single batch").
-// The batch pays one fixed overhead, prefills all prompts back-to-back and
-// decodes the sequences together. Error draws remain independent per query.
-// The virtual clock advances once, by the batch latency; per-request trace
-// events carry an equal share so module breakdowns stay additive.
-func (c *Client) CompleteBatch(reqs []Request) []Response {
-	if len(reqs) == 0 {
-		return nil
-	}
-	if len(reqs) == 1 {
-		return []Response{c.Complete(reqs[0])}
-	}
-	resps := make([]Response, len(reqs))
-	fittedPrompts := make([]prompt.Prompt, len(reqs))
-	totalPrompt := 0
-	maxOut := 0
-	for i, req := range reqs {
-		resps[i], fittedPrompts[i] = c.draw(req)
-		totalPrompt += resps[i].PromptTokens
-		if req.OutTokens > maxOut {
-			maxOut = req.OutTokens
-		}
-	}
-	lat := c.batchLatency(len(reqs), totalPrompt, maxOut)
-	if c.profile.JitterFrac > 0 {
-		lat = time.Duration(c.stream.Jitter(float64(lat), c.profile.JitterFrac))
-	}
-	if c.backend != nil {
-		// Shared endpoint: the aggregated queries arrive together and the
-		// endpoint's own continuous batcher coalesces them (join window),
-		// replacing the client-side latency model with queue-aware serving.
-		lat = 0
-		arrival := c.now()
-		for i := range reqs {
-			s := c.backend.Serve(Call{
-				Agent: reqs[i].Agent, Arrival: arrival,
-				Prompt: fittedPrompts[i], PromptTokens: resps[i].PromptTokens,
-				OutTokens: reqs[i].OutTokens,
-			})
-			if s.Latency > lat {
-				lat = s.Latency
-			}
-		}
-	}
-	if c.clock != nil {
-		c.clock.Advance(lat)
-	}
-	share := lat / time.Duration(len(reqs))
-	for i := range resps {
-		resps[i].Latency = share
-		if c.tracer != nil {
-			c.tracer.Record(trace.Event{
-				Step:         reqs[i].Step,
-				Agent:        reqs[i].Agent,
-				Module:       reqs[i].Module,
-				Kind:         reqs[i].Kind + "(batched)",
-				Latency:      share,
-				PromptTokens: resps[i].PromptTokens,
-				OutputTokens: resps[i].OutputTokens,
-				LLMCall:      true,
-			})
-		}
-	}
-	return resps
 }
 
 // CompleteBatchMulti is step-phase query aggregation across agents (paper

@@ -9,8 +9,9 @@ import (
 	"embench/internal/trace"
 )
 
-// CompleteBatch edge cases: single-request fallback parity with Complete,
-// truncated-prompt batches, and latency-share additivity against the trace.
+// Step-phase batch edge cases (CompleteBatchMulti): single-request
+// fallback parity with Complete, truncated-prompt batches, and latency
+// additivity against the trace.
 
 func TestCompleteBatchSingleParityWithComplete(t *testing.T) {
 	// A one-request batch must be bit-identical to the equivalent Complete
@@ -26,7 +27,7 @@ func TestCompleteBatchSingleParityWithComplete(t *testing.T) {
 		c := NewClient(GPT4, rng.New(7).NewStream("llm"), clock, tr)
 		var r Response
 		if batch {
-			r = c.CompleteBatch([]Request{req})[0]
+			r = CompleteBatchMulti([]*Client{c}, []Request{req})[0]
 		} else {
 			r = c.Complete(req)
 		}
@@ -43,17 +44,26 @@ func TestCompleteBatchSingleParityWithComplete(t *testing.T) {
 	}
 }
 
+// sharedClock builds n clients that share one clock and trace, so the
+// clock sums every member's charged latency.
+func sharedClock(n int, p Profile, clock *simclock.Clock, tr *trace.Trace) []*Client {
+	clocks := make([]*simclock.Clock, n)
+	for i := range clocks {
+		clocks[i] = clock
+	}
+	return multiClients(n, p, clocks, tr)
+}
+
 func TestCompleteBatchTruncatesOverflowingPrompts(t *testing.T) {
 	p := GPT4
 	p.ContextWindow = 600
 	p.JitterFrac = 0
-	c := testClient(p, nil, nil)
 	reqs := []Request{
 		{Prompt: promptOf(100), OutTokens: 50, Good: 1},  // fits
 		{Prompt: promptOf(5000), OutTokens: 50, Good: 2}, // must be truncated
 		{Prompt: promptOf(4000), OutTokens: 50, Good: 3}, // must be truncated
 	}
-	resps := c.CompleteBatch(reqs)
+	resps := CompleteBatchMulti(sharedClock(3, p, nil, nil), reqs)
 	if resps[0].Truncated {
 		t.Fatalf("small prompt truncated: %+v", resps[0])
 	}
@@ -77,7 +87,6 @@ func TestCompleteBatchLatencySharesAdditiveAgainstTrace(t *testing.T) {
 	p.JitterFrac = 0
 	clock := simclock.New()
 	tr := trace.New()
-	c := testClient(p, tr, clock)
 	reqs := make([]Request, 5)
 	for i := range reqs {
 		reqs[i] = Request{
@@ -85,25 +94,24 @@ func TestCompleteBatchLatencySharesAdditiveAgainstTrace(t *testing.T) {
 			Prompt: promptOf(400 + 100*i), OutTokens: 40 + 10*i, Good: i,
 		}
 	}
-	resps := c.CompleteBatch(reqs)
+	resps := CompleteBatchMulti(sharedClock(len(reqs), p, clock, tr), reqs)
 
-	// Every request carries an equal share, the clock advanced once by the
-	// whole batch latency, and the trace stays additive: summed event
-	// latency equals the clock to within integer-division rounding.
-	share := resps[0].Latency
+	// Every member rides the whole batch, each charge lands on the clock
+	// once, and the trace stays additive: one phase event per member
+	// carrying exactly its response latency.
 	var sum time.Duration
 	for i, r := range resps {
-		if r.Latency != share {
-			t.Fatalf("response %d share %v != %v", i, r.Latency, share)
+		if r.Latency != resps[0].Latency {
+			t.Fatalf("response %d latency %v != %v", i, r.Latency, resps[0].Latency)
 		}
 		sum += r.Latency
 	}
-	if d := clock.Now() - sum; d < 0 || d >= time.Duration(len(reqs)) {
-		t.Fatalf("shares not additive: clock %v, trace sum %v", clock.Now(), sum)
+	if clock.Now() != sum {
+		t.Fatalf("latencies not additive: clock %v, response sum %v", clock.Now(), sum)
 	}
 	var traceSum time.Duration
 	for _, ev := range tr.Events {
-		if ev.Kind != "plan(batched)" || !ev.LLMCall {
+		if ev.Kind != "plan(phase)" || !ev.LLMCall {
 			t.Fatalf("unexpected trace event %+v", ev)
 		}
 		traceSum += ev.Latency
@@ -119,14 +127,11 @@ func TestCompleteBatchDecodeSlowdownOrdering(t *testing.T) {
 	p := GPT4
 	p.JitterFrac = 0
 	const n, promptTok, outTok = 4, 800, 100
-	clock := simclock.New()
-	c := testClient(p, nil, clock)
 	reqs := make([]Request, n)
 	for i := range reqs {
 		reqs[i] = Request{Prompt: promptOf(promptTok), OutTokens: outTok, Good: i}
 	}
-	c.CompleteBatch(reqs)
-	batched := clock.Now()
+	batched := CompleteBatchMulti(sharedClock(n, p, nil, nil), reqs)[0].Latency
 	single := p.Latency(promptTok, outTok)
 	if batched <= single {
 		t.Fatalf("batch of %d (%v) should cost more than one call (%v)", n, batched, single)

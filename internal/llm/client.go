@@ -67,9 +67,6 @@ func NewClient(p Profile, stream *rng.Stream, clock *simclock.Clock, tracer *tra
 // Profile reports the client's serving profile.
 func (c *Client) Profile() Profile { return c.profile }
 
-// SetProfile swaps the serving profile (Fig. 4 model-swap experiments).
-func (c *Client) SetProfile(p Profile) { c.profile = p }
-
 // ErrorProbability computes the error channel's pErr for a query with the
 // given characteristics. Exposed for tests and for the calibration bench.
 func (c *Client) ErrorProbability(promptTokens int, truncated bool, req Request) float64 {
@@ -96,11 +93,11 @@ func (c *Client) ErrorProbability(promptTokens int, truncated bool, req Request)
 	return p
 }
 
-// draw runs the per-request decision pipeline shared by Complete,
-// CompleteBatch and CompleteBatchMulti: fit the prompt to the context
-// window, compute pErr and draw the decision from the client's stream.
-// Keeping this in one place is what keeps the three serving paths'
-// RNG-stream consumption aligned.
+// draw runs the per-request decision pipeline shared by Complete and
+// CompleteBatchMulti: fit the prompt to the context window, compute pErr
+// and draw the decision from the client's stream. Keeping this in one
+// place is what keeps the two serving paths' RNG-stream consumption
+// aligned.
 func (c *Client) draw(req Request) (Response, prompt.Prompt) {
 	fitted := prompt.Fit(req.Prompt, c.contextBudget(req.OutTokens))
 	promptTok := fitted.Prompt.Tokens()

@@ -234,17 +234,15 @@ func TestDeterminism(t *testing.T) {
 func TestCompleteBatchSharesOverhead(t *testing.T) {
 	p := GPT4
 	p.JitterFrac = 0
-	clock := simclock.New()
-	c := testClient(p, nil, clock)
 	reqs := make([]Request, 4)
 	for i := range reqs {
 		reqs[i] = Request{Prompt: promptOf(1000), OutTokens: 100, Good: i}
 	}
-	resps := c.CompleteBatch(reqs)
+	resps := CompleteBatchMulti(sharedClock(4, p, nil, nil), reqs)
 	if len(resps) != 4 {
 		t.Fatalf("responses = %d", len(resps))
 	}
-	batched := clock.Now()
+	batched := resps[0].Latency
 	seq := 4 * p.Latency(1000, 100)
 	if batched >= seq {
 		t.Fatalf("batching slower than sequential: %v vs %v", batched, seq)
@@ -254,15 +252,14 @@ func TestCompleteBatchSharesOverhead(t *testing.T) {
 func TestCompleteBatchSingleFallsBack(t *testing.T) {
 	clock := simclock.New()
 	c := testClient(GPT4, nil, clock)
-	resps := c.CompleteBatch([]Request{{Prompt: promptOf(100), OutTokens: 10, Good: "x"}})
+	resps := CompleteBatchMulti([]*Client{c}, []Request{{Prompt: promptOf(100), OutTokens: 10, Good: "x"}})
 	if len(resps) != 1 || resps[0].Decision != "x" {
 		t.Fatalf("resps = %+v", resps)
 	}
 }
 
 func TestCompleteBatchEmpty(t *testing.T) {
-	c := testClient(GPT4, nil, nil)
-	if got := c.CompleteBatch(nil); got != nil {
+	if got := CompleteBatchMulti(nil, nil); got != nil {
 		t.Fatal("empty batch should return nil")
 	}
 }
@@ -272,12 +269,11 @@ func TestCompleteBatchTraceAdditive(t *testing.T) {
 	p.JitterFrac = 0
 	clock := simclock.New()
 	tr := trace.New()
-	c := testClient(p, tr, clock)
 	reqs := make([]Request, 3)
 	for i := range reqs {
 		reqs[i] = Request{Module: trace.Planning, Prompt: promptOf(500), OutTokens: 50, Good: i}
 	}
-	c.CompleteBatch(reqs)
+	CompleteBatchMulti(sharedClock(3, p, clock, tr), reqs)
 	if len(tr.Events) != 3 {
 		t.Fatalf("trace events = %d", len(tr.Events))
 	}
