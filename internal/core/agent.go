@@ -556,13 +556,3 @@ func (a *Agent) Reset() {
 	a.lastAnnounced = ""
 	a.overlapCredit = 0
 }
-
-// StepClock exposes the agent's clock (used by runners to overlap spans in
-// parallel mode).
-func (a *Agent) StepClock() *simclock.Clock { return a.clock }
-
-// PlanLatencyEstimate reports the deterministic latency of one planning
-// call with typical token counts — used by ablation benches.
-func (a *Agent) PlanLatencyEstimate(promptTokens int) time.Duration {
-	return a.Cfg.Planner.Latency(promptTokens, planning.PlanOutTokens)
-}

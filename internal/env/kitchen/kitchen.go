@@ -89,7 +89,6 @@ func defaults(d world.Difficulty) (horizon, deadline, interval int) {
 const (
 	orderFactTokens = 16
 	progFactTokens  = 10
-	busyFactTokens  = 8
 )
 
 // Game is the environment. It implements core.Domain and

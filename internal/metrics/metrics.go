@@ -168,14 +168,6 @@ func (s Serving) MeanQueueWait() time.Duration {
 	return time.Duration(float64(s.QueueWait) / float64(s.Requests))
 }
 
-// MeanService reports the average in-batch service time per request.
-func (s Serving) MeanService() time.Duration {
-	if s.Requests == 0 {
-		return 0
-	}
-	return time.Duration(float64(s.Service) / float64(s.Requests))
-}
-
 // BatchOccupancy reports the mean batch size a request was served in
 // (1.0 = no batching ever happened).
 func (s Serving) BatchOccupancy() float64 {

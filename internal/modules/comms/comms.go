@@ -1,6 +1,6 @@
 // Package comms implements the communication module: message construction
-// from memory deltas, a delivery bus, novelty accounting, and the
-// message-gating optimizations of Recs. 8 and 10.
+// from memory deltas, novelty accounting, and the message-gating
+// optimizations of Recs. 8 and 10. Delivery is the multi-agent runner's.
 //
 // The paper's headline findings about communication — that it dominates
 // latency in some workloads yet barely moves success rates, and that only
@@ -22,52 +22,6 @@ type Message struct {
 	Step    int
 	Records []memory.Record // facts/intents shared
 	Tokens  int             // rendered size
-}
-
-// Bus queues messages for delivery. Delivery is synchronous within a step:
-// messages sent during step t are readable by receivers later in step t.
-type Bus struct {
-	agents    int
-	mailboxes [][]Message
-	sent      int
-}
-
-// NewBus returns a bus for n agents.
-func NewBus(n int) *Bus {
-	return &Bus{agents: n, mailboxes: make([][]Message, n)}
-}
-
-// Agents reports the number of endpoints.
-func (b *Bus) Agents() int { return b.agents }
-
-// Sent reports the total messages accepted so far.
-func (b *Bus) Sent() int { return b.sent }
-
-// Send enqueues a message for its recipients. Broadcast fans out to every
-// agent except the sender. Unknown recipients are dropped.
-func (b *Bus) Send(m Message) {
-	b.sent++
-	if m.To == Broadcast {
-		for i := range b.mailboxes {
-			if i != m.From {
-				b.mailboxes[i] = append(b.mailboxes[i], m)
-			}
-		}
-		return
-	}
-	if m.To >= 0 && m.To < b.agents {
-		b.mailboxes[m.To] = append(b.mailboxes[m.To], m)
-	}
-}
-
-// Drain returns and clears agent's mailbox.
-func (b *Bus) Drain(agent int) []Message {
-	if agent < 0 || agent >= b.agents {
-		return nil
-	}
-	out := b.mailboxes[agent]
-	b.mailboxes[agent] = nil
-	return out
 }
 
 // Novel reports whether the message would teach the receiver anything: it

@@ -10,50 +10,6 @@ func rec(step int, key string, tokens int) memory.Record {
 	return memory.Record{Step: step, Kind: memory.Observation, Key: key, Tokens: tokens}
 }
 
-func TestBusDirectDelivery(t *testing.T) {
-	b := NewBus(3)
-	b.Send(Message{From: 0, To: 2, Step: 1})
-	if got := b.Drain(1); len(got) != 0 {
-		t.Fatal("message leaked to wrong agent")
-	}
-	got := b.Drain(2)
-	if len(got) != 1 || got[0].From != 0 {
-		t.Fatalf("delivery wrong: %+v", got)
-	}
-	if got := b.Drain(2); len(got) != 0 {
-		t.Fatal("Drain should clear the mailbox")
-	}
-}
-
-func TestBusBroadcast(t *testing.T) {
-	b := NewBus(4)
-	b.Send(Message{From: 1, To: Broadcast, Step: 0})
-	for i := 0; i < 4; i++ {
-		got := b.Drain(i)
-		if i == 1 && len(got) != 0 {
-			t.Fatal("sender received own broadcast")
-		}
-		if i != 1 && len(got) != 1 {
-			t.Fatalf("agent %d got %d messages", i, len(got))
-		}
-	}
-	if b.Sent() != 1 {
-		t.Fatalf("Sent = %d", b.Sent())
-	}
-}
-
-func TestBusDropsUnknownRecipient(t *testing.T) {
-	b := NewBus(2)
-	b.Send(Message{From: 0, To: 7})
-	b.Send(Message{From: 0, To: -5})
-	if b.Drain(0) != nil || b.Drain(1) != nil {
-		t.Fatal("unknown recipients should be dropped")
-	}
-	if b.Drain(9) != nil {
-		t.Fatal("draining unknown agent should be nil")
-	}
-}
-
 func TestNovel(t *testing.T) {
 	store := memory.NewStore(-1)
 	known := rec(3, "obj:apple", 5)

@@ -70,9 +70,6 @@ func NewStore(capacity int) *Store {
 // Capacity reports the configured step window (negative = unlimited).
 func (s *Store) Capacity() int { return s.capacity }
 
-// SetCapacity changes the window, taking effect on the next Retrieve.
-func (s *Store) SetCapacity(k int) { s.capacity = k }
-
 // pruneThreshold bounds the in-memory record count for windowed stores:
 // once exceeded, records older than the window are compacted away. This
 // keeps long multi-agent episodes (hundreds of dialogue records per step)

@@ -124,13 +124,5 @@ func (d Difficulty) String() string {
 // Difficulties lists the sweep order used by the benchmarks.
 var Difficulties = []Difficulty{Easy, Medium, Hard}
 
-// Task describes one episode's objective at the suite level. Environments
-// attach their own structured goals; Task carries what the harness needs.
-type Task struct {
-	Name       string
-	Difficulty Difficulty
-	Horizon    int // step cap ("Lmax" in the paper's Fig. 3)
-}
-
 // C constructs a Cell — the keyed-literal shorthand used across the suite.
 func C(x, y int) Cell { return Cell{X: x, Y: y} }
