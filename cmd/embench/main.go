@@ -333,6 +333,27 @@ func main() {
 			}
 		}
 	case *run != "":
+		// The client policies act in open-loop replay only: closed-loop
+		// calls resolve synchronously and rely on server-side crash
+		// re-admission. Refuse them instead of running without them.
+		var replayOnly []string
+		for _, p := range []struct {
+			name string
+			set  bool
+		}{
+			{"serve-retry", retry != serve.RetryPolicy{}},
+			{"serve-hedge", hedge != serve.HedgePolicy{}},
+			{"serve-shed", shed != serve.ShedPolicy{}},
+			{"serve-deadline", *srvDeadline > 0},
+		} {
+			if p.set {
+				replayOnly = append(replayOnly, "-"+p.name)
+			}
+		}
+		if len(replayOnly) > 0 {
+			fatal(fmt.Errorf("%s: client policies act in -replay-trace only; -run serves closed loop without them",
+				strings.Join(replayOnly, ", ")))
+		}
 		sc := serveConfig(0)
 		disagg := sc.Prefill.Replicas > 0 || sc.Decode.Replicas > 0
 		opt := embench.Options{

@@ -61,6 +61,12 @@ func TestCLIErrorSurface(t *testing.T) {
 		{"retry NaN factor", append(replay, "-serve-retry", "max=2,factor=NaN"), "-serve-retry:"},
 		{"handoff tiny rate", append(replay, "-serve-handoff", "rate=1e-300"), "-serve-handoff:"},
 		{"autoscale NaN up", []string{"-exp", "fig12", "-serve-autoscale", "interval=10s,up=NaN"}, "-serve-autoscale:"},
+		// The client policies act in -replay-trace only; closed-loop -run
+		// refuses them instead of silently dropping them.
+		{"run refuses client policies", []string{"-run", "MindAgent", "-serve-replicas", "1",
+			"-serve-retry", "on", "-serve-hedge", "on", "-serve-deadline", "5s"},
+			"-serve-retry, -serve-hedge, -serve-deadline"},
+		{"run refuses shed", []string{"-run", "MindAgent", "-serve-fleet", "2", "-serve-shed", "on"}, "-serve-shed"},
 		// The deadline check is mode-independent: it must fire even when
 		// no serving mode would consume the value.
 		{"deadline negative list mode", []string{"-list", "-serve-deadline", "-1s"}, "-serve-deadline"},
