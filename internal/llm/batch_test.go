@@ -44,9 +44,9 @@ func TestCompleteBatchSingleParityWithComplete(t *testing.T) {
 	}
 }
 
-// sharedClock builds n clients that share one clock and trace, so the
-// clock sums every member's charged latency.
-func sharedClock(n int, p Profile, clock *simclock.Clock, tr *trace.Trace) []*Client {
+// phaseClients builds n clients on one shared clock and trace (either may
+// be nil), so the clock sums every member's charged latency.
+func phaseClients(n int, p Profile, clock *simclock.Clock, tr *trace.Trace) []*Client {
 	clocks := make([]*simclock.Clock, n)
 	for i := range clocks {
 		clocks[i] = clock
@@ -63,7 +63,7 @@ func TestCompleteBatchTruncatesOverflowingPrompts(t *testing.T) {
 		{Prompt: promptOf(5000), OutTokens: 50, Good: 2}, // must be truncated
 		{Prompt: promptOf(4000), OutTokens: 50, Good: 3}, // must be truncated
 	}
-	resps := CompleteBatchMulti(sharedClock(3, p, nil, nil), reqs)
+	resps := CompleteBatchMulti(phaseClients(3, p, nil, nil), reqs)
 	if resps[0].Truncated {
 		t.Fatalf("small prompt truncated: %+v", resps[0])
 	}
@@ -94,7 +94,7 @@ func TestCompleteBatchLatencySharesAdditiveAgainstTrace(t *testing.T) {
 			Prompt: promptOf(400 + 100*i), OutTokens: 40 + 10*i, Good: i,
 		}
 	}
-	resps := CompleteBatchMulti(sharedClock(len(reqs), p, clock, tr), reqs)
+	resps := CompleteBatchMulti(phaseClients(len(reqs), p, clock, tr), reqs)
 
 	// Every member rides the whole batch, each charge lands on the clock
 	// once, and the trace stays additive: one phase event per member
@@ -131,7 +131,7 @@ func TestCompleteBatchDecodeSlowdownOrdering(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Prompt: promptOf(promptTok), OutTokens: outTok, Good: i}
 	}
-	batched := CompleteBatchMulti(sharedClock(n, p, nil, nil), reqs)[0].Latency
+	batched := CompleteBatchMulti(phaseClients(n, p, nil, nil), reqs)[0].Latency
 	single := p.Latency(promptTok, outTok)
 	if batched <= single {
 		t.Fatalf("batch of %d (%v) should cost more than one call (%v)", n, batched, single)

@@ -238,7 +238,7 @@ func TestCompleteBatchSharesOverhead(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Prompt: promptOf(1000), OutTokens: 100, Good: i}
 	}
-	resps := CompleteBatchMulti(sharedClock(4, p, nil, nil), reqs)
+	resps := CompleteBatchMulti(phaseClients(4, p, nil, nil), reqs)
 	if len(resps) != 4 {
 		t.Fatalf("responses = %d", len(resps))
 	}
@@ -273,7 +273,7 @@ func TestCompleteBatchTraceAdditive(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Module: trace.Planning, Prompt: promptOf(500), OutTokens: 50, Good: i}
 	}
-	CompleteBatchMulti(sharedClock(3, p, clock, tr), reqs)
+	CompleteBatchMulti(phaseClients(3, p, clock, tr), reqs)
 	if len(tr.Events) != 3 {
 		t.Fatalf("trace events = %d", len(tr.Events))
 	}
