@@ -40,41 +40,40 @@ const (
 // for the deprecated entry-count model, on the entry count (capEntries).
 //
 // The cache is a deterministic LRU over chained-FNV prefix keys: every
-// lookup touches all prefixes of the prompt, and eviction removes the
+// insert touches all prefixes of the prompt, and eviction removes the
 // least-recently-touched CHAIN — evicting a prefix cascades to its resident
 // extensions, so no suffix entry ever outlives (or hides capacity behind)
-// an evicted parent. Recency order lives in a lazy-deletion queue: touches
-// append, eviction pops from the front skipping entries whose tick is
-// stale, and the queue compacts once garbage dominates — amortized O(1) per
-// touch regardless of capacity.
+// an evicted parent. This is RadixAttention's LRU radix tree (SGLang, arxiv
+// 2312.07104) laid out flat: entries live in one slab of int32 slots with a
+// free list and a key→slot index, children are first-child/next-sibling
+// links (prev makes an unlink O(1)), and recency is an intrusive doubly
+// linked list — a touch moves an entry to the head, eviction pops the tail.
+// The slab grows to the resident high-water mark; flush and reset keep it.
 type prefixCache struct {
-	capEntries int // entry-count budget (deprecated model); 0 = unbounded
-	capTokens  int // live-token budget; 0 = unbounded
-	entries    map[uint64]*cacheEntry
-	order      []lruEvent // touch events, oldest first; stale ones skipped
-	tick       int
-	liveTokens int // sum of resident entries' sizes
+	capEntries int              // entry-count budget (deprecated model); 0 = unbounded
+	capTokens  int              // live-token budget; 0 = unbounded
+	index      map[uint64]int32 // resident key → slab slot
+	slab       []cacheEntry
+	free       int32 // first free slot, chained through next
+	head, tail int32 // most and least recently touched entries
+	liveTokens int   // sum of resident entries' sizes
 	// Cumulative memory-pressure statistics (metrics.Serving rollup).
 	peakTokens    int // high-water mark of liveTokens
 	evictedTokens int // tokens removed by capacity eviction
 }
 
-// cacheEntry is one resident prefix: the token size of its last section,
-// its parent prefix key, and its resident extensions. The kids list is
-// exact — a child can only be evicted together with its parent chain, so a
-// resident entry's kids are always resident (no stale keys, no duplicates).
-type cacheEntry struct {
-	parent uint64
-	size   int
-	tick   int
-	kids   []uint64
-}
+// noSlot is the nil value of every slot link.
+const noSlot int32 = -1
 
-// lruEvent is one touch of a prefix key; it is stale when the key has been
-// touched again (or evicted) since.
-type lruEvent struct {
-	key  uint64
-	tick int
+// cacheEntry is one resident prefix: its key, the token size of its last
+// section, its parent, its resident extensions (kid heads a sibling list
+// linked by next/prev) and its recency neighbours. The kid list is exact: a
+// child can only be evicted together with its parent chain, so a resident
+// entry's kids are always resident.
+type cacheEntry struct {
+	key                                   uint64
+	size                                  int
+	parent, kid, next, prev, newer, older int32
 }
 
 // newPrefixCache builds a cache bounded by entry count and/or live tokens;
@@ -83,20 +82,17 @@ func newPrefixCache(capEntries, capTokens int) *prefixCache {
 	if capEntries <= 0 && capTokens <= 0 {
 		return nil
 	}
-	if capEntries < 0 {
-		capEntries = 0
-	}
-	if capTokens < 0 {
-		capTokens = 0
-	}
-	hint := capEntries
-	if hint == 0 {
-		hint = 64
-	}
-	return &prefixCache{
-		capEntries: capEntries,
-		capTokens:  capTokens,
-		entries:    make(map[uint64]*cacheEntry, hint),
+	c := &prefixCache{capEntries: max(capEntries, 0), capTokens: max(capTokens, 0), index: map[uint64]int32{}}
+	c.reset()
+	return c
+}
+
+// reset empties the cache and zeroes its statistics, keeping the slab and
+// index storage for reuse (Endpoint.Reset).
+func (c *prefixCache) reset() {
+	if c != nil {
+		c.flush()
+		c.peakTokens, c.evictedTokens = 0, 0
 	}
 }
 
@@ -141,8 +137,8 @@ type sectionKey struct {
 
 // promptKey is a prompt's memoized prefix-chain identity. Routing probes
 // every replica's cache and admission prices + inserts the prompt, so a
-// request's chain is hashed once here and shared by all of them instead of
-// being recomputed per probe.
+// chain is hashed once and shared by all of them: once per request in the
+// closed loop, once per distinct prompt in a replay (replayOn's memo).
 type promptKey struct {
 	secs  []sectionKey
 	total int // total prompt tokens (the sum of section sizes)
@@ -167,14 +163,6 @@ func chainKeysIdent(buf []sectionKey, p prompt.Prompt, ident CacheIdentity) prom
 	return k
 }
 
-// chainKeysInto is chainKeysIdent under the default shape identity.
-func chainKeysInto(buf []sectionKey, p prompt.Prompt) promptKey {
-	return chainKeysIdent(buf, p, IdentityShape)
-}
-
-// chainKeys is chainKeysInto with a fresh backing array.
-func chainKeys(p prompt.Prompt) promptKey { return chainKeysInto(nil, p) }
-
 // matchKey reports how many leading tokens of the keyed prompt are covered
 // by cached prefixes: sections are matched front-to-back and the chain
 // stops at the first miss, mirroring KV-cache prefix reuse.
@@ -184,20 +172,12 @@ func (c *prefixCache) matchKey(k promptKey) int {
 	}
 	cached := 0
 	for _, s := range k.secs {
-		if _, ok := c.entries[s.key]; !ok {
+		if _, ok := c.index[s.key]; !ok {
 			break
 		}
 		cached += s.size
 	}
 	return cached
-}
-
-// match is matchKey over an unmemoized prompt (tests and one-shot probes).
-func (c *prefixCache) match(p prompt.Prompt) int {
-	if c == nil {
-		return 0
-	}
-	return c.matchKey(chainKeys(p))
 }
 
 // pressure estimates how many warm tokens inserting the keyed prompt would
@@ -231,7 +211,7 @@ func (c *prefixCache) batchGrowth(keys []promptKey, seen map[uint64]bool) int {
 				continue
 			}
 			seen[s.key] = true
-			if _, ok := c.entries[s.key]; !ok {
+			if _, ok := c.index[s.key]; !ok {
 				growth += s.size
 			}
 		}
@@ -250,10 +230,7 @@ func (c *prefixCache) pressureGrowth(growth int) int {
 	if over <= 0 {
 		return 0
 	}
-	if over > c.liveTokens {
-		over = c.liveTokens
-	}
-	return over
+	return min(over, c.liveTokens)
 }
 
 // insertKey touches every prefix of the keyed prompt (so the whole prompt
@@ -263,83 +240,111 @@ func (c *prefixCache) insertKey(k promptKey) {
 	if c == nil {
 		return
 	}
-	parent := fnvOffset
+	parent := noSlot
 	for _, s := range k.secs {
-		c.tick++
-		e, ok := c.entries[s.key]
-		if !ok {
-			e = &cacheEntry{parent: parent, size: s.size}
-			c.entries[s.key] = e
+		i, ok := c.index[s.key]
+		if ok {
+			c.unlinkLRU(i)
+		} else {
+			i = c.alloc(cacheEntry{key: s.key, size: s.size, parent: parent, kid: noSlot, next: noSlot, prev: noSlot})
+			c.index[s.key] = i
 			c.liveTokens += s.size
-			// The parent is always resident here: the chain is inserted
+			// The parent is resident here: the chain is inserted
 			// front-to-back, so it was created or touched one iteration ago.
-			if pe, pok := c.entries[parent]; pok {
-				pe.kids = append(pe.kids, s.key)
+			if parent != noSlot {
+				pe := &c.slab[parent]
+				c.slab[i].next = pe.kid
+				if pe.kid != noSlot {
+					c.slab[pe.kid].prev = i
+				}
+				pe.kid = i
 			}
 		}
-		e.tick = c.tick
-		c.order = append(c.order, lruEvent{key: s.key, tick: c.tick})
-		parent = s.key
+		c.pushHead(i)
+		parent = i
 	}
 	c.evictOver()
-	// Compact once stale events dominate, keeping memory proportional to
-	// the live entry count. Live events already sit in touch order, so
-	// filtering preserves LRU order deterministically.
-	if len(c.order) > 2*len(c.entries)+64 {
-		live := c.order[:0]
-		for _, ev := range c.order {
-			if e, ok := c.entries[ev.key]; ok && e.tick == ev.tick {
-				live = append(live, ev)
-			}
-		}
-		c.order = live
-	}
 	if c.liveTokens > c.peakTokens {
 		c.peakTokens = c.liveTokens
 	}
 }
 
-// evictOver removes least-recently-touched chains until both budgets hold.
-// Each pop evicts the stale-skipped front entry TOGETHER with its resident
-// extensions: a suffix is unreachable (matchKey stops at its missing
-// parent) yet still holds KV memory, so leaving it behind — the seed's
-// orphaned-suffix bug — both leaked capacity and corrupted later matches
-// when the parent was re-inserted around a stale suffix.
-func (c *prefixCache) evictOver() {
-	for (c.capEntries > 0 && len(c.entries) > c.capEntries) ||
-		(c.capTokens > 0 && c.liveTokens > c.capTokens) {
-		ev := c.order[0]
-		c.order = c.order[1:]
-		e, ok := c.entries[ev.key]
-		if !ok || e.tick != ev.tick {
-			continue // stale event: key evicted or touched since
-		}
-		// Unlink from the surviving parent so a later re-insert of this
-		// chain cannot leave a duplicate kid reference behind.
-		if pe, pok := c.entries[e.parent]; pok {
-			for i, kid := range pe.kids {
-				if kid == ev.key {
-					pe.kids[i] = pe.kids[len(pe.kids)-1]
-					pe.kids = pe.kids[:len(pe.kids)-1]
-					break
-				}
-			}
-		}
-		c.evictChain(ev.key, e)
+// alloc places e in a free slot, growing the slab only when none is free.
+func (c *prefixCache) alloc(e cacheEntry) int32 {
+	if i := c.free; i != noSlot {
+		c.free = c.slab[i].next
+		c.slab[i] = e
+		return i
+	}
+	c.slab = append(c.slab, e)
+	return int32(len(c.slab) - 1)
+}
+
+// pushHead makes slot i the most recently touched entry.
+func (c *prefixCache) pushHead(i int32) {
+	e := &c.slab[i]
+	e.newer, e.older = noSlot, c.head
+	if c.head != noSlot {
+		c.slab[c.head].newer = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// unlinkLRU takes slot i out of the recency list.
+func (c *prefixCache) unlinkLRU(i int32) {
+	e := &c.slab[i]
+	if e.newer != noSlot {
+		c.slab[e.newer].older = e.older
+	} else {
+		c.head = e.older
+	}
+	if e.older != noSlot {
+		c.slab[e.older].newer = e.newer
+	} else {
+		c.tail = e.newer
 	}
 }
 
-// evictChain removes an entry and, recursively, its resident extensions —
-// the cascade that keeps every resident key's parent chain resident.
-func (c *prefixCache) evictChain(key uint64, e *cacheEntry) {
-	delete(c.entries, key)
+// evictOver removes least-recently-touched chains until both budgets hold.
+// Each pop evicts the tail entry TOGETHER with its resident extensions: a
+// suffix is unreachable (matchKey stops at its missing parent) yet still
+// holds KV memory, so leaving it behind — the seed's orphaned-suffix bug —
+// both leaked capacity and corrupted later matches when the parent was
+// re-inserted around a stale suffix.
+func (c *prefixCache) evictOver() {
+	for (c.capEntries > 0 && len(c.index) > c.capEntries) ||
+		(c.capTokens > 0 && c.liveTokens > c.capTokens) {
+		i := c.tail
+		e := &c.slab[i] // unlinked from its surviving parent's kids first
+		if e.prev != noSlot {
+			c.slab[e.prev].next = e.next
+		} else if e.parent != noSlot {
+			c.slab[e.parent].kid = e.next
+		}
+		if e.next != noSlot {
+			c.slab[e.next].prev = e.prev
+		}
+		c.evictChain(i)
+	}
+}
+
+// evictChain removes slot i and, recursively, its resident extensions —
+// the cascade that keeps every resident key's parent chain resident — and
+// returns their slots to the free list.
+func (c *prefixCache) evictChain(i int32) {
+	e := &c.slab[i]
+	delete(c.index, e.key)
+	c.unlinkLRU(i)
 	c.liveTokens -= e.size
 	c.evictedTokens += e.size
-	for _, kid := range e.kids {
-		if ke, ok := c.entries[kid]; ok {
-			c.evictChain(kid, ke)
-		}
+	for kid := e.kid; kid != noSlot; {
+		next := c.slab[kid].next
+		c.evictChain(kid)
+		kid = next
 	}
+	c.slab[i].next, c.free = c.free, i
 }
 
 // flush empties the cache, pricing every live token as a capacity
@@ -353,16 +358,9 @@ func (c *prefixCache) flush() {
 	}
 	c.evictedTokens += c.liveTokens
 	c.liveTokens = 0
-	clear(c.entries)
-	c.order = c.order[:0]
-}
-
-// insert is insertKey over an unmemoized prompt (tests and one-shot use).
-func (c *prefixCache) insert(p prompt.Prompt) {
-	if c == nil {
-		return
-	}
-	c.insertKey(chainKeys(p))
+	clear(c.index)
+	c.slab = c.slab[:0]
+	c.free, c.head, c.tail = noSlot, noSlot, noSlot
 }
 
 // Live/peak/evicted token accounting, rolled up into metrics.Serving by

@@ -3,10 +3,38 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"embench/internal/prompt"
+	"embench/internal/serve/obs"
 )
+
+// chainKeysInto is chainKeysIdent under the default shape identity.
+func chainKeysInto(buf []sectionKey, p prompt.Prompt) promptKey {
+	return chainKeysIdent(buf, p, IdentityShape)
+}
+
+// chainKeys is chainKeysInto with a fresh backing array.
+func chainKeys(p prompt.Prompt) promptKey { return chainKeysInto(nil, p) }
+
+// match is matchKey over an unmemoized prompt.
+func (c *prefixCache) match(p prompt.Prompt) int {
+	if c == nil {
+		return 0
+	}
+	return c.matchKey(chainKeys(p))
+}
+
+// insert is insertKey over an unmemoized prompt.
+func (c *prefixCache) insert(p prompt.Prompt) {
+	if c == nil {
+		return
+	}
+	c.insertKey(chainKeys(p))
+}
 
 // checkCacheInvariants asserts the structural contract of the prefix cache:
 //
@@ -15,53 +43,55 @@ import (
 //  2. token accounting — liveTokens is exactly the sum of resident entry
 //     sizes and never exceeds the token budget,
 //  3. entry accounting — the entry count never exceeds the entry budget,
-//  4. kid links — every resident entry's kids list names exactly its
-//     resident children, with no stale keys or duplicates,
-//  5. LRU queue — order ticks are strictly increasing and every resident
-//     entry's last touch is present as a live event.
+//  4. kid links — every resident entry's kid list names exactly its
+//     resident children, with no stale slots, duplicates or broken
+//     back links,
+//  5. LRU list — positions are strictly ordered head→tail (every newer
+//     link mirrors an older link), and the list holds exactly the
+//     resident entries.
 func checkCacheInvariants(t *testing.T, c *prefixCache) {
 	t.Helper()
 	if c == nil {
 		return
 	}
 	tokens := 0
-	for key, e := range c.entries {
+	kids := map[int32]int{} // resident slot → parents linking it
+	for key, i := range c.index {
+		e := &c.slab[i]
+		if e.key != key {
+			t.Fatalf("index maps %x to slot %d holding %x", key, i, e.key)
+		}
 		tokens += e.size
-		if e.parent != fnvOffset {
-			if _, ok := c.entries[e.parent]; !ok {
-				t.Fatalf("orphaned suffix: entry %x resident but parent %x evicted", key, e.parent)
+		if e.parent != noSlot {
+			if got, ok := c.index[c.slab[e.parent].key]; !ok || got != e.parent {
+				t.Fatalf("orphaned suffix: entry %x resident but parent slot %d evicted", key, e.parent)
 			}
 		}
-		seen := map[uint64]bool{}
-		for _, kid := range e.kids {
-			if seen[kid] {
-				t.Fatalf("duplicate kid link %x under %x", kid, key)
+		prev := noSlot
+		for kid := e.kid; kid != noSlot; kid = c.slab[kid].next {
+			ke := &c.slab[kid]
+			if got, ok := c.index[ke.key]; !ok || got != kid {
+				t.Fatalf("stale kid link %d under %x", kid, key)
 			}
-			seen[kid] = true
-			ke, ok := c.entries[kid]
-			if !ok {
-				t.Fatalf("stale kid link %x under %x", kid, key)
+			if ke.parent != i {
+				t.Fatalf("kid %x of %x points at parent slot %d", ke.key, key, ke.parent)
 			}
-			if ke.parent != key {
-				t.Fatalf("kid %x of %x points at parent %x", kid, key, ke.parent)
+			if ke.prev != prev {
+				t.Fatalf("kid %x of %x has prev %d, want %d", ke.key, key, ke.prev, prev)
 			}
+			if kids[kid]++; kids[kid] > 1 {
+				t.Fatalf("duplicate kid link %x under %x", ke.key, key)
+			}
+			prev = kid
 		}
 	}
 	// Reverse check: every resident child is linked from its parent.
-	for key, e := range c.entries {
-		if e.parent == fnvOffset {
-			continue
+	for key, i := range c.index {
+		if c.slab[i].parent != noSlot && kids[i] != 1 {
+			t.Fatalf("entry %x resident but unlinked from its parent", key)
 		}
-		pe := c.entries[e.parent]
-		found := false
-		for _, kid := range pe.kids {
-			if kid == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("entry %x resident but unlinked from parent %x", key, e.parent)
+		if e := &c.slab[i]; e.parent == noSlot && (e.prev != noSlot || e.next != noSlot) {
+			t.Fatalf("root entry %x has sibling links", key)
 		}
 	}
 	if tokens != c.liveTokens {
@@ -70,28 +100,37 @@ func checkCacheInvariants(t *testing.T, c *prefixCache) {
 	if c.capTokens > 0 && c.liveTokens > c.capTokens {
 		t.Fatalf("live tokens %d exceed budget %d", c.liveTokens, c.capTokens)
 	}
-	if c.capEntries > 0 && len(c.entries) > c.capEntries {
-		t.Fatalf("entry count %d exceeds budget %d", len(c.entries), c.capEntries)
+	if c.capEntries > 0 && len(c.index) > c.capEntries {
+		t.Fatalf("entry count %d exceeds budget %d", len(c.index), c.capEntries)
 	}
 	if c.liveTokens > c.peakTokens {
 		t.Fatalf("peak %d below live %d", c.peakTokens, c.liveTokens)
 	}
-	last := -1
-	liveEvents := map[uint64]int{}
-	for _, ev := range c.order {
-		if ev.tick <= last {
-			t.Fatalf("order ticks not strictly increasing: %d after %d", ev.tick, last)
+	listed, newer := 0, noSlot
+	for i := c.head; i != noSlot; i = c.slab[i].older {
+		if c.slab[i].newer != newer {
+			t.Fatalf("LRU slot %d: newer link %d, want %d", i, c.slab[i].newer, newer)
 		}
-		last = ev.tick
-		if e, ok := c.entries[ev.key]; ok && e.tick == ev.tick {
-			liveEvents[ev.key] = ev.tick
+		if got, ok := c.index[c.slab[i].key]; !ok || got != i {
+			t.Fatalf("LRU list holds non-resident slot %d", i)
 		}
+		if listed++; listed > len(c.index) {
+			t.Fatal("LRU list longer than the resident set (cycle or stale slot)")
+		}
+		newer = i
 	}
-	for key, e := range c.entries {
-		if liveEvents[key] != e.tick {
-			t.Fatalf("entry %x (tick %d) has no live event in the LRU queue", key, e.tick)
-		}
+	if newer != c.tail || listed != len(c.index) {
+		t.Fatalf("LRU list: %d slots ending at %d, want %d ending at tail %d", listed, newer, len(c.index), c.tail)
 	}
+}
+
+// lruKeys lists the resident keys from least to most recently touched.
+func (c *prefixCache) lruKeys() []uint64 {
+	var keys []uint64
+	for i := c.tail; i != noSlot; i = c.slab[i].newer {
+		keys = append(keys, c.slab[i].key)
+	}
+	return keys
 }
 
 // TestCacheOrphanedSuffixRegression reproduces the seed bug directly:
@@ -104,8 +143,8 @@ func TestCacheOrphanedSuffixRegression(t *testing.T) {
 		prompt.Section{Name: "hist", Tokens: 50},
 	)
 	c.insert(chain)
-	if len(c.entries) != 2 {
-		t.Fatalf("chain should occupy 2 entries, got %d", len(c.entries))
+	if len(c.index) != 2 {
+		t.Fatalf("chain should occupy 2 entries, got %d", len(c.index))
 	}
 	// Two fresh single-section prompts: capacity 3 forces eviction of the
 	// oldest entry — the chain's "system" root (tick 1; "hist" is tick 2).
@@ -114,18 +153,16 @@ func TestCacheOrphanedSuffixRegression(t *testing.T) {
 	if got := c.match(chain); got != 0 {
 		t.Fatalf("chain root evicted but match still covers %d tokens", got)
 	}
-	for key, e := range c.entries {
-		if e.parent != fnvOffset {
-			if _, ok := c.entries[e.parent]; !ok {
-				t.Fatalf("suffix %x outlived its prefix — the seed bug", key)
-			}
+	for key, i := range c.index {
+		if c.slab[i].parent != noSlot {
+			t.Fatalf("suffix %x outlived its prefix — the seed bug", key)
 		}
 	}
 	// The seed evicted only the root, keeping the unreachable "hist"
 	// suffix resident: {hist, a, b} with one entry of dead capacity. The
 	// cascade removes the whole chain, leaving the two reachable roots.
-	if len(c.entries) != 2 {
-		t.Fatalf("resident entries = %d, want the 2 reachable roots", len(c.entries))
+	if len(c.index) != 2 {
+		t.Fatalf("resident entries = %d, want the 2 reachable roots", len(c.index))
 	}
 	checkCacheInvariants(t, c)
 }
@@ -180,10 +217,10 @@ func TestCacheRandomizedCapacityAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheCompactionPreservesLRUOrder pins the lazy queue's compaction:
-// hammer one hot chain (generating stale events) interleaved with cold
-// singletons until compaction triggers, then check eviction still removes
-// the honestly least-recently-touched entry first.
+// TestCacheCompactionPreservesLRUOrder hammers one hot chain after a row
+// of cold singletons (500 touches of one entry), then checks eviction
+// still removes the honestly least-recently-touched entry first. (The name
+// predates the recency list, which has nothing to compact.)
 func TestCacheCompactionPreservesLRUOrder(t *testing.T) {
 	c := newPrefixCache(0, 1000)
 	hot := prompt.New(prompt.Section{Name: "hot", Tokens: 100})
@@ -194,12 +231,8 @@ func TestCacheCompactionPreservesLRUOrder(t *testing.T) {
 	for _, p := range cold {
 		c.insert(p)
 	}
-	before := len(c.order)
 	for i := 0; i < 500; i++ {
-		c.insert(hot) // stale events pile up; compaction must fire
-	}
-	if len(c.order) >= before+500 {
-		t.Fatal("compaction never fired")
+		c.insert(hot)
 	}
 	checkCacheInvariants(t, c)
 	// 8 cold (800 tokens) + hot (100) = 900 live. A 150-token insert must
@@ -236,9 +269,9 @@ func TestCacheIdentityAgreement(t *testing.T) {
 		}
 		shape.insertKey(ks)
 		content.insertKey(kc)
-		if shape.liveTokens != content.liveTokens || len(shape.entries) != len(content.entries) {
+		if shape.liveTokens != content.liveTokens || len(shape.index) != len(content.index) {
 			t.Fatalf("op %d: caches diverged: %d/%d tokens, %d/%d entries",
-				i, shape.liveTokens, content.liveTokens, len(shape.entries), len(content.entries))
+				i, shape.liveTokens, content.liveTokens, len(shape.index), len(content.index))
 		}
 	}
 	checkCacheInvariants(t, shape)
@@ -337,5 +370,85 @@ func TestCacheTokenBudgetEvictsDeadHistory(t *testing.T) {
 	}
 	if c.evictedTokens == 0 {
 		t.Fatal("budget never evicted anything")
+	}
+}
+
+// TestReplayChainMemo pins replay's per-prompt chain memo: a replay whose
+// requests share Sections arrays — whole, and as sub-slices of one array
+// that start at different offsets or differ only in length — must equal,
+// result and recorded stream alike, the same replay over deep-copied
+// sections, where every request hashes its own chain. Run under both
+// identity models, monolithic and disaggregated.
+func TestReplayChainMemo(t *testing.T) {
+	arr := []prompt.Section{
+		{Name: "system", Tokens: 300},
+		{Name: "task", Text: "stack the red block on the blue one"},
+		{Name: "persona", Tokens: 200},
+		{Name: "hist", Text: "moved red block; picked blue block up", Droppable: true},
+		{Name: "obs", Tokens: 40, Droppable: true},
+	}
+	other := []prompt.Section{{Name: "system", Tokens: 300}, {Name: "task", Tokens: 90}}
+	views := [][]prompt.Section{arr, arr[:3], arr[:5], arr[:4], arr[1:4], arr[1:], other, arr[:1], nil}
+	var shared []Request
+	for i := 0; i < 96; i++ {
+		shared = append(shared, Request{
+			Agent:     fmt.Sprintf("a%d", i%5),
+			Arrival:   time.Duration(i/3) * 700 * time.Millisecond,
+			Priority:  i % 2,
+			Prompt:    prompt.Prompt{Sections: views[i*7%len(views)]},
+			OutTokens: 20 + i%4*10,
+		})
+	}
+	copied := slices.Clone(shared)
+	for i := range copied {
+		copied[i].Prompt.Sections = slices.Clone(copied[i].Prompt.Sections)
+	}
+	for _, ident := range []CacheIdentity{IdentityShape, IdentityContent} {
+		for _, cfg := range []Config{
+			{Profile: noJitter, Replicas: 2, MaxBatch: 4, MaxWait: time.Second, CacheTokens: 900, Identity: ident},
+			{Profile: noJitter, CacheTokens: 700, Identity: ident,
+				Prefill: PoolConfig{Replicas: 2, MaxBatch: 4, MaxWait: time.Second},
+				Decode:  PoolConfig{Replicas: 2, MaxBatch: 4, MaxWait: time.Second},
+				Handoff: Handoff{Latency: 40 * time.Millisecond, TokensPerSec: 200000}},
+		} {
+			name := fmt.Sprintf("%s/disagg=%v", ident, cfg.Disaggregated())
+			recShared, recCopied := obs.NewRecorder(), obs.NewRecorder()
+			got, want := ReplayObserved(cfg, shared, recShared), ReplayObserved(cfg, copied, recCopied)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: replay over shared sections differs from deep-copied sections", name)
+			}
+			if !reflect.DeepEqual(recShared.Events(), recCopied.Events()) {
+				t.Fatalf("%s: recorded streams differ", name)
+			}
+			if got.Stats.CachedTokens == 0 || got.Stats.EvictedTokens == 0 {
+				t.Fatalf("%s: cache never hit (%d) or evicted (%d)", name, got.Stats.CachedTokens, got.Stats.EvictedTokens)
+			}
+		}
+	}
+}
+
+// TestPrefixCacheSteadyStateAllocs: once the slab has grown to the
+// resident high-water mark, inserting — touches, new entries into freed
+// slots, cascading evictions — allocates nothing.
+func TestPrefixCacheSteadyStateAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	keys := make([]promptKey, 256)
+	for i := range keys {
+		keys[i] = chainKeys(randomPrompt(r))
+	}
+	c := newPrefixCache(16, 1200)
+	for _, k := range keys {
+		c.insertKey(k)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(5000, func() {
+		c.insertKey(keys[i%len(keys)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm insertKey allocates %.2f objects per call, want 0", allocs)
+	}
+	if c.evictedTokens == 0 {
+		t.Fatal("workload never evicted; the free list went unexercised")
 	}
 }

@@ -202,8 +202,9 @@ func (e *Endpoint) sealFrontier(r *replica) {
 // read at episode end; for a dedicated endpoint it is simply Stats.
 func (e *Endpoint) ServingStats() metrics.Serving { return e.Stats() }
 
-// Reset clears timeline, caches, statistics and autoscaler state for reuse;
-// New builds every endpoint through it.
+// Reset clears timeline, caches, statistics and autoscaler state for reuse,
+// keeping each replica cache's storage; New builds every endpoint through
+// it.
 func (e *Endpoint) Reset() {
 	if e.dis != nil {
 		e.dis.prefill.Reset()
@@ -213,7 +214,12 @@ func (e *Endpoint) Reset() {
 		return
 	}
 	for i := range e.replicas {
-		e.replicas[i] = replica{cache: newPrefixCache(e.cfg.CacheEntries, e.cfg.CacheTokens)}
+		c := e.replicas[i].cache
+		if c == nil {
+			c = newPrefixCache(e.cfg.CacheEntries, e.cfg.CacheTokens)
+		}
+		c.reset()
+		e.replicas[i] = replica{cache: c}
 	}
 	e.stats = metrics.Serving{Replicas: e.cfg.Replicas}
 	e.active = e.cfg.Replicas
@@ -320,7 +326,7 @@ func (e *Endpoint) serveBatch(calls []llm.Call, out []llm.Served) {
 	if e.sink != nil {
 		req0 = e.reqID + 1
 		for _, c := range calls {
-			e.emitSubmit(e.nextReq(), c.Agent, c.Arrival, c.Prompt, c.OutTokens, 0)
+			e.emitSubmit(e.nextReq(), c.Agent, c.Arrival, obsSections(c.Prompt), c.OutTokens, 0)
 		}
 		e.emitRoute(req0, arrival, r, keys[0])
 	}

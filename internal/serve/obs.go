@@ -76,13 +76,20 @@ func (e *Endpoint) nextReq() int64 {
 	return e.reqID
 }
 
-// emitSubmit records a request entering the endpoint, carrying everything
-// trace-driven replay needs to reconstruct it (TraceRequests).
-func (e *Endpoint) emitSubmit(req int64, agent string, arrival time.Duration, p prompt.Prompt, out, priority int) {
+// obsSections copies a prompt's sections into a submit event's form.
+func obsSections(p prompt.Prompt) []obs.Section {
 	secs := make([]obs.Section, len(p.Sections))
 	for i, s := range p.Sections {
 		secs[i] = obs.Section{Name: s.Name, Text: s.Text, Tokens: s.Tokens, Droppable: s.Droppable}
 	}
+	return secs
+}
+
+// emitSubmit records a request entering the endpoint, carrying everything
+// trace-driven replay needs to reconstruct it (TraceRequests). secs is the
+// prompt in obsSections form; replay shares one copy between the submits
+// of a prompt, so it is read-only once emitted.
+func (e *Endpoint) emitSubmit(req int64, agent string, arrival time.Duration, secs []obs.Section, out, priority int) {
 	e.sink.Event(obs.Event{
 		Kind: obs.KindSubmit, T: arrival, Shard: e.shard,
 		Req: req, Agent: agent, Out: out, Priority: priority,

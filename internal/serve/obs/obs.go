@@ -205,9 +205,10 @@ func (e Event) Start() time.Duration { return e.Arrival() + e.Wait }
 // Sink receives flight-recorder events. Implementations must tolerate
 // concurrent calls when attached to more than one source (a ShardedFleet's
 // shards, parallel per-episode endpoints); a single endpoint or fleet calls
-// it from one goroutine at a time. Sinks must not retain ev.Scores or
-// ev.Sections beyond the call unless they own them (the serve emitters
-// allocate fresh slices per event, so retaining is safe there).
+// it from one goroutine at a time. ev.Scores and ev.Sections are
+// read-only: sinks may retain them but never write through them. The serve
+// emitters allocate a fresh Scores slice per event, while a replay shares
+// one Sections slice between the submit events of a prompt.
 type Sink interface {
 	Event(ev Event)
 }

@@ -9,6 +9,7 @@ import (
 	"embench/internal/metrics"
 	"embench/internal/prompt"
 	"embench/internal/rng"
+	"embench/internal/serve/obs"
 )
 
 // Request is one entry of an open-loop request trace.
@@ -187,7 +188,7 @@ type replayLoop struct {
 	reqs []Request
 	res  *ReplayResult
 
-	keys    []promptKey // each request's prefix chain, hashed once
+	keys    []promptKey // each request's prefix chain, hashed once per prompt
 	order   []int       // request indices in (arrival, priority, index) order
 	nextArr int         // next entry of order to arrive
 
@@ -258,10 +259,7 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		l.retrySrc = rng.New(e.cfg.Faults.Seed).Sub("serve/retry")
 		l.jitter = make([]*rng.Stream, len(reqs))
 	}
-	// Hash every request's prefix chain once, under the endpoint's cache
-	// identity; routing probes and batch admissions reuse the memoized keys.
 	for i := range reqs {
-		l.keys[i] = chainKeysIdent(nil, reqs[i].Prompt, e.cfg.Identity)
 		l.order[i] = i
 	}
 	// Arrival order with an explicit total tie-break: (arrival, priority,
@@ -276,10 +274,18 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 		}
 		return cmp.Compare(a, b)
 	})
-	if first := pools[0].e; first.sink != nil {
-		for _, qi := range l.order {
-			rq := reqs[qi]
-			first.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, rq.Prompt, rq.OutTokens, rq.Priority)
+	// Hash each distinct prompt once, under the endpoint's cache identity:
+	// requests sharing a Sections array share its read-only chain (and, on
+	// the sink path, its submit sections), which routing probes and batch
+	// admissions reuse. Submit events go out in arrival order.
+	first := pools[0].e
+	memo := map[chainID]internedChain{}
+	for _, qi := range l.order {
+		rq := &reqs[qi]
+		c := intern(memo, rq.Prompt, e.cfg.Identity, first.sink != nil)
+		l.keys[qi] = c.key
+		if first.sink != nil {
+			first.emitSubmit(int64(qi)+1, rq.Agent, rq.Arrival, c.secs, rq.OutTokens, rq.Priority)
 		}
 	}
 	l.now = reqs[l.order[0]].Arrival
@@ -294,6 +300,43 @@ func replayOn(e *Endpoint, reqs []Request) ReplayResult {
 	}
 	res.Stats = e.Stats()
 	return res
+}
+
+// chainID names a prompt by its Sections slice: the backing array and the
+// length. Within one replay the sections are read-only, so equal chainIDs
+// hold equal prompts.
+type chainID struct {
+	first *prompt.Section
+	n     int
+}
+
+// internedChain is one distinct prompt's memoized prefix chain and, on the
+// sink path, the submit event's copy of its sections. Both are shared by
+// every request of the prompt and are read-only.
+type internedChain struct {
+	key  promptKey
+	secs []obs.Section
+}
+
+// intern returns p's chain under ident from memo, hashing it (and building
+// its submit sections when withSecs) on first sight. A prompt without
+// sections is not memoized: its chain is empty.
+func intern(memo map[chainID]internedChain, p prompt.Prompt, ident CacheIdentity, withSecs bool) internedChain {
+	var id chainID
+	if len(p.Sections) > 0 {
+		id = chainID{&p.Sections[0], len(p.Sections)}
+		if c, ok := memo[id]; ok {
+			return c
+		}
+	}
+	c := internedChain{key: chainKeysIdent(make([]sectionKey, 0, len(p.Sections)), p, ident)}
+	if withSecs {
+		c.secs = obsSections(p)
+	}
+	if id.n > 0 {
+		memo[id] = c
+	}
+	return c
 }
 
 // run processes events until every request has resolved. Same-instant

@@ -345,8 +345,8 @@ func TestPrefixCacheLRUEviction(t *testing.T) {
 	if c.match(pA) == 0 || c.match(pC) == 0 {
 		t.Fatal("recently used entries should survive")
 	}
-	if len(c.entries) > 2 {
-		t.Fatalf("cache over capacity: %d entries", len(c.entries))
+	if len(c.index) > 2 {
+		t.Fatalf("cache over capacity: %d entries", len(c.index))
 	}
 }
 
