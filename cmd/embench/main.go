@@ -33,6 +33,7 @@
 // (shape|content). -serve-fleet N attaches N concurrently running episodes
 // to ONE endpoint (cross-episode contention), and -serve-aggregate batches
 // each step's plan calls explicitly (Rec. 1 step-phase aggregation).
+// -exp reads only its axis overrides among them and refuses the rest.
 // Flag-by-flag semantics live in docs/EXPERIMENTS.md.
 //
 // The flight recorder (internal/serve/obs) attaches to any served -run:
@@ -231,6 +232,23 @@ func main() {
 		fmt.Println("workloads: ", strings.Join(embench.Workloads(), ", "))
 		fmt.Println("experiments:", strings.Join(embench.Experiments(), ", "))
 	case *exp != "":
+		// Experiments build their own deployments and read only the axis
+		// overrides below. Refuse every other -serve-* flag that was set
+		// instead of running without it.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "serve-shards", "serve-tenants", "serve-slo", "serve-arrivals", "serve-autoscale":
+			default:
+				if strings.HasPrefix(f.Name, "serve-") {
+					ignored = append(ignored, "-"+f.Name)
+				}
+			}
+		})
+		if len(ignored) > 0 {
+			fatal(fmt.Errorf("%s: -exp runs each experiment's own deployment; these flags act in -run and -replay-trace only",
+				strings.Join(ignored, ", ")))
+		}
 		sizes := parseSpecFlag("fleet-sizes", parseIntList, *fleetSizes)
 		shardAxis := parseSpecFlag("serve-shards", parseIntList, *srvShards)
 		tenants := parseSpecFlag("serve-tenants", parseIntList, *srvTenants)

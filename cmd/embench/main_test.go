@@ -67,6 +67,15 @@ func TestCLIErrorSurface(t *testing.T) {
 			"-serve-retry", "on", "-serve-hedge", "on", "-serve-deadline", "5s"},
 			"-serve-retry, -serve-hedge, -serve-deadline"},
 		{"run refuses shed", []string{"-run", "MindAgent", "-serve-fleet", "2", "-serve-shed", "on"}, "-serve-shed"},
+		// Experiments build their own deployments; -exp refuses the
+		// endpoint flags it would otherwise ignore, naming each one set.
+		{"exp refuses endpoint flags", []string{"-exp", "table1", "-episodes", "1",
+			"-serve-retry", "on", "-serve-deadline", "5s", "-serve-faults", "on"},
+			"-serve-deadline, -serve-faults, -serve-retry:"},
+		{"exp refuses default-valued flag", []string{"-exp", "fig12", "-serve-batch", "1"}, "-serve-batch:"},
+		{"exp refuses pools", []string{"-exp", "fig13", "-serve-prefill-replicas", "2",
+			"-serve-decode-replicas", "2", "-serve-tenants", "8"},
+			"-serve-decode-replicas, -serve-prefill-replicas:"},
 		// The deadline check is mode-independent: it must fire even when
 		// no serving mode would consume the value.
 		{"deadline negative list mode", []string{"-list", "-serve-deadline", "-1s"}, "-serve-deadline"},
